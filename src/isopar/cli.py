@@ -15,15 +15,15 @@ Subcommands:
 Reports are JSON documents with a schema_version field and are byte
 identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
-verification failed, 2 usage error.  The environment variable
-ISOPAR_THREADS caps worker threads for multi-seed spectrum sampling.
+verification failed, 2 usage error, 3 a numerical procedure failed at run
+time (sampling did not converge, ambiguous clustering, a focal travel
+angle, a construction that failed its own relations).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -33,7 +33,15 @@ from . import spectral
 from .clifford import build_generators, build_system, validate_system
 from .cm_verifier import verify_cm
 from .division_algebras import AlgebraTag
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import (
+    ConstructionError,
+    DomainError,
+    FocalAngleError,
+    InstabilityError,
+    PreconditionError,
+    SamplingError,
+    StructureError,
+)
 from .families import (
     IsoparametricFamily,
     cartan_cubic,
@@ -49,6 +57,7 @@ from .nurowski import check_conditions, upsilon_for_dimension
 SCHEMA_VERSION = 1
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+RUNTIME_FAILURE = 3
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -64,14 +73,10 @@ def _report(command: str, result: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, "result": result}
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("ISOPAR_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 FAMILY_CHOICES = ("linear", "product", "cartan-cubic", "fkm", "nomizu")
@@ -161,7 +166,6 @@ def cmd_spectrum(args) -> int:
         num_seeds=args.seeds,
         base_seed=args.seed,
         cluster_tol=args.cluster_tol,
-        max_workers=_threads(),
     )
     _emit(_report("spectrum", report.to_dict()), args.output)
     ok = report.seed_agreement_ok and report.munzner.ok
@@ -310,7 +314,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="principal curvature spectrum of a level set")
     _add_family_args(p_spec)
     p_spec.add_argument("--t", type=float, default=0.0)
-    p_spec.add_argument("--seeds", type=int, default=1)
+    p_spec.add_argument("--seeds", type=_positive_int, default=1)
     p_spec.add_argument("--seed", type=int, default=spectral.DEFAULT_SEED)
     p_spec.add_argument("--cluster-tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL)
     p_spec.add_argument("--output", "-o")
@@ -368,6 +372,9 @@ def main(argv=None) -> int:
     except (DomainError, PreconditionError, StructureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except (ConstructionError, FocalAngleError, InstabilityError, SamplingError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return RUNTIME_FAILURE
 
 
 if __name__ == "__main__":

@@ -141,7 +141,8 @@ class ScalarQ3:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a rational element equals its int/Fraction value, so it hashes as one
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * _SQRT3

@@ -41,7 +41,6 @@ from .errors import (
     SamplingError,
 )
 from .families import IsoparametricFamily
-from .polyalg import Poly
 
 DEFAULT_SEED = 2718
 DEFAULT_CLUSTER_TOL = 1e-4
@@ -51,56 +50,79 @@ LEVEL_GUARD = 0.95  # sampling stays this far from the focal levels by default
 _geometry_cache: dict = {}
 
 
-class _Compiled:
-    """A polynomial compiled to (exponent array, float coefficients)."""
+def _table(entries: list, n: int) -> tuple:
+    """Pack (slot, float coefficient, variables) entries into arrays.
 
-    __slots__ = ("exps", "coeffs", "num_vars")
+    Each monomial becomes a row of its variable indices with repetition,
+    padded with index n, which addresses a constant 1 appended to the point.
+    """
+    width = max((len(vs) for _, _, vs in entries), default=0)
+    rows = np.full((len(entries), width), n, dtype=np.intp)
+    for r, (_, _, vs) in enumerate(entries):
+        rows[r, : len(vs)] = vs
+    slots = np.array([s for s, _, _ in entries], dtype=np.intp)
+    coeffs = np.array([c for _, c, _ in entries], dtype=float)
+    return rows, coeffs, slots
 
-    def __init__(self, poly: Poly):
-        items = sorted(poly.items())
-        self.num_vars = poly.num_vars
-        if items:
-            self.exps = np.array([m for m, _ in items], dtype=np.int64)
-            self.coeffs = np.array([float(c) for _, c in items])
-        else:
-            self.exps = np.zeros((0, poly.num_vars), dtype=np.int64)
-            self.coeffs = np.zeros(0)
 
-    def __call__(self, x: np.ndarray) -> float:
-        if len(self.coeffs) == 0:
-            return 0.0
-        return float(np.prod(x[None, :] ** self.exps, axis=1) @ self.coeffs)
+def _evaluate(table: tuple, x: np.ndarray, size: int) -> np.ndarray:
+    rows, coeffs, slots = table
+    terms = coeffs * np.prod(np.append(x, 1.0)[rows], axis=1)
+    return np.bincount(slots, weights=terms, minlength=size)
+
+
+def _drop(vs: list, i: int) -> list:
+    k = vs.index(i)
+    return vs[:k] + vs[k + 1 :]
+
+
+def _scaled(floats: dict, c, k: int) -> float:
+    """float(c * k), multiplied exactly; ``floats`` caches it per term."""
+    if k not in floats:
+        floats[k] = float(c * k)
+    return floats[k]
 
 
 class FamilyGeometry:
-    """Compiled gradient and Hessian evaluators for one family."""
+    """F, grad F and the upper triangle of Hess F of one family as tables.
+
+    The tables come from the exact terms of F by exponent arithmetic: the
+    partial d/dx_i of c x^e is (c e_i) x^(e - e_i), the coefficient being
+    multiplied out in Q(sqrt 3) before its one rounding to float.  A table
+    row is a monomial with its output slot (0 for F, i for dF/dx_i, i n + j
+    for the Hessian entry i <= j); evaluating a table is one product over
+    its rows and one scatter-add into the slots.
+    """
 
     def __init__(self, fam: IsoparametricFamily):
         self.family = fam
-        self.n_amb = fam.ambient_dim
-        self._F = _Compiled(fam.F)
-        grads = fam.F.gradient()
-        self._grad = [_Compiled(g) for g in grads]
-        self._hess = [
-            [_Compiled(grads[i].differentiate(j)) for j in range(i, self.n_amb)]
-            for i in range(self.n_amb)
-        ]
+        n = self.n_amb = fam.ambient_dim
+        value, grad, hess = [], [], []
+        for mono, c in fam.F.items():
+            floats = {1: float(c)}
+            vs = [v for v, e in enumerate(mono) for _ in range(e)]
+            value.append((0, floats[1], vs))
+            for i in dict.fromkeys(vs):
+                di = _drop(vs, i)
+                grad.append((i, _scaled(floats, c, mono[i]), di))
+                for j in dict.fromkeys(di):
+                    if j >= i:
+                        k = mono[i] * di.count(j)
+                        hess.append((i * n + j, _scaled(floats, c, k), _drop(di, j)))
+        self._value = _table(value, n)
+        self._grad = _table(grad, n)
+        self._hess = _table(hess, n)
 
     def value(self, x: np.ndarray) -> float:
-        return self._F(x)
+        return float(_evaluate(self._value, x, 1)[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.array([g(x) for g in self._grad])
+        return _evaluate(self._grad, x, self.n_amb)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         n = self.n_amb
-        H = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = self._hess[i][j - i](x)
-                H[i, j] = v
-                H[j, i] = v
-        return H
+        upper = _evaluate(self._hess, x, n * n).reshape(n, n)
+        return upper + np.triu(upper, 1).T
 
     def sphere_gradient(self, x: np.ndarray) -> np.ndarray:
         g = self.gradient(x)
@@ -119,13 +141,17 @@ def geometry(fam: IsoparametricFamily) -> FamilyGeometry:
 class SurfacePoint:
     """A sampled point of M_t: |x| = 1 and F(x) = t to tight tolerance."""
 
-    family: IsoparametricFamily
+    geometry: FamilyGeometry = field(repr=False)
     x: np.ndarray = field(repr=False)
     t: float
 
     @property
+    def family(self) -> IsoparametricFamily:
+        return self.geometry.family
+
+    @property
     def n_amb(self) -> int:
-        return self.family.ambient_dim
+        return self.geometry.n_amb
 
 
 @dataclass(frozen=True)
@@ -218,14 +244,14 @@ def sample_level(
             continue  # critical point of F|S^n, resample
         residual = max(abs(geo.value(x) - t), abs(x @ x - 1.0))
         if residual <= 1e-12:
-            return SurfacePoint(family=fam, x=x, t=float(geo.value(x)))
+            return SurfacePoint(geometry=geo, x=x, t=float(geo.value(x)))
     raise SamplingError(
         f"no convergent sample on level t = {t} after 12 seeded starts"
     )
 
 
 def normal_frame(pt: SurfacePoint) -> NormalFrame:
-    geo = geometry(pt.family)
+    geo = pt.geometry
     gs = geo.sphere_gradient(pt.x)
     norm = float(np.linalg.norm(gs))
     if norm < 1e-9:
@@ -262,7 +288,7 @@ class ShapeOperator:
 
 def shape_operator(pt: SurfacePoint, flip_normal: bool = False) -> ShapeOperator:
     """A = -(Hess F - <grad F, x> Id)|_T / |grad_S f| on the tangent space."""
-    geo = geometry(pt.family)
+    geo = pt.geometry
     frame = normal_frame(pt)
     xi = -frame.xi if flip_normal else frame.xi
     B = tangent_basis(pt.x, frame.xi)
@@ -438,7 +464,7 @@ def parallel_check(
         raise FocalAngleError(
             f"travel angle {travel} is a focal angle; the parallel map collapses"
         )
-    geo = geometry(pt.family)
+    geo = pt.geometry
     frame = normal_frame(pt)
     x_t = math.cos(travel) * pt.x + math.sin(travel) * frame.xi
     xi_t = -math.sin(travel) * pt.x + math.cos(travel) * frame.xi
@@ -448,7 +474,7 @@ def parallel_check(
     predicted_level = math.cos(base.p * (theta1 - travel))
     level_ok = abs(end_level - predicted_level) <= 1e-6
 
-    new_pt = SurfacePoint(family=pt.family, x=x_t, t=end_level)
+    new_pt = SurfacePoint(geometry=geo, x=x_t, t=end_level)
     # keep the transported orientation: flip if the gradient normal reversed
     gs = geo.sphere_gradient(x_t)
     flip = bool(gs @ xi_t < 0)
@@ -516,7 +542,7 @@ def parallel_map_rank(
     over a tangent basis, plus the explicit t-column.  Retries with other
     step sizes when the singular spectrum has no clean gap at the threshold.
     """
-    geo = geometry(pt.family)
+    geo = pt.geometry
     frame = normal_frame(pt)
     B = tangent_basis(pt.x, frame.xi)
 
@@ -622,7 +648,6 @@ def spectrum_report(
     base_seed: int = DEFAULT_SEED,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     agreement_tol: float = 2e-6,
-    max_workers: int | None = None,
 ) -> SpectrumReport:
     """Sample ``num_seeds`` points of M_t and compare their spectra.
 
@@ -631,17 +656,7 @@ def spectrum_report(
     worst elementwise deviation between the per-seed sorted spectra.
     """
     seeds = tuple(base_seed + i for i in range(num_seeds))
-
-    def eigs_for(seed: int) -> np.ndarray:
-        return principal_curvatures(sample_level(fam, t, seed=seed))
-
-    if max_workers is not None and max_workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            all_eigs = list(pool.map(eigs_for, seeds))
-    else:
-        all_eigs = [eigs_for(s) for s in seeds]
+    all_eigs = [principal_curvatures(sample_level(fam, t, seed=s)) for s in seeds]
 
     stacked = np.vstack(all_eigs)
     deviation = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))

@@ -151,3 +151,22 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["result"]["verdict"] == "inhomogeneous"
+
+
+def test_spectrum_rejects_seed_count_below_one(capsys):
+    for seeds in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--family", "product", "--n", "7", "--k", "4", "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_three(capsys):
+    # pi/4 is a focal travel angle of product(7,4) at t = 0
+    code, out, err = run(
+        capsys, "parallel", "--family", "product", "--n", "7", "--k", "4",
+        "--travel", "0.7853981633974483",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "focal" in err

@@ -34,6 +34,14 @@ def test_scalar_inverse():
         ScalarQ3(0).inverse()
 
 
+def test_scalar_hash_agrees_with_equality():
+    # equal values hash alike, so rationals and their ScalarQ3 share a set slot
+    assert ScalarQ3(1) == 1 == Fraction(1)
+    assert len({ScalarQ3(1), 1, Fraction(1)}) == 1
+    assert hash(ScalarQ3(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert len({SQRT3, ScalarQ3(0, 1), ScalarQ3(3)}) == 2
+
+
 def test_scalar_float_value():
     assert float(ScalarQ3(1, 1)) == pytest.approx(2.7320508075688772)
 

@@ -297,7 +297,33 @@ def test_spectrum_report_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_spectrum_report_threaded_matches_serial():
-    serial = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=4)
-    threaded = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=4, max_workers=4)
-    assert serial.to_dict() == threaded.to_dict()
+# ---------------------------------------------------------------------------
+# derivative tables against the exact polynomials
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [linear_family(7), PRODUCT]
+    + [cartan_cubic(tag) for tag in AlgebraTag]
+    + [FKM22, nomizu_family(3)],
+    ids=lambda fam: fam.name,
+)
+def test_geometry_tables_match_exact_derivatives(fam):
+    geo = spectral.geometry(fam)
+    grads = fam.F.gradient()
+    n = fam.ambient_dim
+
+    def close(measured, exact):
+        return abs(measured - exact) <= 1e-12 * (1 + abs(exact))
+
+    for seed in (1, 2, 3):
+        x = np.random.default_rng(seed).normal(size=n)
+        x /= np.linalg.norm(x)
+        point = [float(v) for v in x]
+        assert close(geo.value(x), fam.F.evaluate_float(point))
+        g, H = geo.gradient(x), geo.hessian(x)
+        for i in range(n):
+            assert close(g[i], grads[i].evaluate_float(point))
+            for j in range(n):
+                assert close(H[i, j], grads[i].differentiate(j).evaluate_float(point))
