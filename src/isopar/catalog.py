@@ -28,6 +28,7 @@ import numpy as np
 from .clifford import delta
 from .errors import DomainError
 from .polyalg import ScalarQ3
+from .report import Report, report_key
 
 # ---------------------------------------------------------------------------
 # rank-2 symmetric space table
@@ -35,13 +36,13 @@ from .polyalg import ScalarQ3
 
 
 @dataclass(frozen=True)
-class SymmetricSpaceRow:
+class SymmetricSpaceRow(Report):
     g: str
     h: str
     dim_M: int
     p: int
     multiplicities: str  # as printed
-    pair: tuple | None  # (m1, m2) reading of the printed data
+    pair: tuple | None = report_key(None)  # (m1, m2) reading of the printed data
     printed_inconsistent: bool = False
     note: str | None = None
 
@@ -151,10 +152,10 @@ def rank2_self_check() -> Rank2CheckResult:
 
 
 @dataclass(frozen=True)
-class FKMEntry:
+class FKMEntry(Report):
     m: int
     k: int
-    delta_m: int
+    delta_m: int = report_key("delta")
     pair: tuple | None  # (m1, m2), None when m2 <= 0 (printed as a dash)
 
 
@@ -222,23 +223,17 @@ def printed_fkm_check() -> PrintedTableCheck:
 
 
 @dataclass(frozen=True)
-class InhomogeneityVerdict:
+class InhomogeneityVerdict(Report):
     m1: int
     m2: int
     verdict: str  # "inhomogeneous" | "inconclusive"
     inequality_holds: bool
     caution: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "m1": self.m1,
-            "m2": self.m2,
-            "verdict": self.verdict,
-            "inequality_holds": self.inequality_holds,
-            "caution": self.caution,
-            "citation": "Ferus-Karcher-Muenzner inhomogeneity criterion "
-            "3 <= 3 m1 <= m2 + 9 (p=4 Clifford families)",
-        }
+    citation = (
+        "Ferus-Karcher-Muenzner inhomogeneity criterion "
+        "3 <= 3 m1 <= m2 + 9 (p=4 Clifford families)"
+    )
 
 
 def inhomogeneity_predicate(
@@ -277,7 +272,7 @@ def inhomogeneity_predicate(
 
 
 @dataclass(frozen=True)
-class OrbitSpectrumReport:
+class OrbitSpectrumReport(Report):
     eigenvalues_exact: tuple  # ScalarQ3, unit normalization
     eigenvalues_float: tuple
     cot_angles: tuple
@@ -285,21 +280,14 @@ class OrbitSpectrumReport:
     printed_values: tuple
     normalization_note: str
 
+    citation = (
+        "shape operator A[X, x] = -[X, xi] of the adjoint "
+        "SO(3) orbit in the traceless symmetric part of su(3)"
+    )
+
     @property
     def lambda_positive(self) -> ScalarQ3:
         return max(self.eigenvalues_exact, key=float)
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues_exact": [repr(v) for v in self.eigenvalues_exact],
-            "eigenvalues_float": list(self.eigenvalues_float),
-            "cot_angles": list(self.cot_angles),
-            "spacing": self.spacing,
-            "printed_values": list(self.printed_values),
-            "normalization_note": self.normalization_note,
-            "citation": "shape operator A[X, x] = -[X, xi] of the adjoint "
-            "SO(3) orbit in the traceless symmetric part of su(3)",
-        }
 
 
 def _so3_basis() -> list[np.ndarray]:

@@ -15,15 +15,21 @@ Subcommands:
 Reports are JSON documents with a schema_version field and are byte
 identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
-verification failed, 2 usage error, 3 a numerical procedure failed at run
-time (sampling did not converge, ambiguous clustering, a focal travel
-angle, a construction that failed its own relations).
+verification failed, 2 usage error (including a negative --seed, a
+non-finite --travel, a --cluster-tol that is not a finite number > 0, and
+an --output path that cannot be written), 3 a numerical procedure failed
+at run time (sampling did not converge, ambiguous clustering, a focal
+travel angle, a construction that failed its own relations).
+
+The --family choices and the arguments each family needs come from one
+registry, FAMILIES.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,7 +55,6 @@ from .families import (
     fkm_family,
     linear_family,
     nomizu_family,
-    nurowski_det_cubic,
     product_family,
 )
 from .nurowski import check_conditions, upsilon_for_dimension
@@ -60,105 +65,77 @@ VERIFICATION_FAILURE = 1
 RUNTIME_FAILURE = 3
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(command: str, result: dict) -> str:
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, "result": result}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _report(command: str, result: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, "result": result}
+def _checked(convert, accept, expected: str):
+    """An argparse type: ``convert`` the text, then require ``accept`` of it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
-
-FAMILY_CHOICES = ("linear", "product", "cartan-cubic", "fkm", "nomizu")
-
-
-def _add_family_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", required=True, choices=FAMILY_CHOICES)
-    parser.add_argument("--n", type=int, help="sphere dimension (linear/product) or block size (nomizu)")
-    parser.add_argument("--k", type=int, help="split index (product) or number of irreducible blocks (fkm)")
-    parser.add_argument("--algebra", choices=[t.name for t in AlgebraTag], help="R, C, H or O (cartan-cubic)")
-    parser.add_argument("--m", type=int, help="Clifford system size parameter (fkm)")
+# --family name -> (required arguments, factory over the parsed arguments)
+FAMILIES = {
+    "linear": (("n",), lambda a: linear_family(a.n)),
+    "product": (("n", "k"), lambda a: product_family(a.n, a.k)),
+    "cartan-cubic": (("algebra",), lambda a: cartan_cubic(AlgebraTag[a.algebra])),
+    "fkm": (("m", "k"), lambda a: fkm_family(build_system(build_generators(a.m, a.k)))),
+    "nomizu": (("n",), lambda a: nomizu_family(a.n)),
+}
 
 
 def build_family(args) -> IsoparametricFamily:
-    if args.family == "linear":
-        if args.n is None:
-            raise DomainError("linear family needs --n")
-        return linear_family(args.n)
-    if args.family == "product":
-        if args.n is None or args.k is None:
-            raise DomainError("product family needs --n and --k")
-        return product_family(args.n, args.k)
-    if args.family == "cartan-cubic":
-        if not args.algebra:
-            raise DomainError("cartan-cubic needs --algebra R|C|H|O")
-        return cartan_cubic(AlgebraTag[args.algebra])
-    if args.family == "fkm":
-        if args.m is None or args.k is None:
-            raise DomainError("fkm needs --m and --k")
-        return fkm_family(build_system(build_generators(args.m, args.k)))
-    if args.family == "nomizu":
-        if args.n is None:
-            raise DomainError("nomizu needs --n")
-        return nomizu_family(args.n)
-    raise DomainError(f"unknown family {args.family}")
+    required, factory = FAMILIES[args.family]
+    if any(getattr(args, name) is None for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise DomainError(f"{args.family} needs {flags}")
+    return factory(args)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (text for stdout or --output, exit code)
 # ---------------------------------------------------------------------------
 
 
-def cmd_family_build(args) -> int:
+def _verdict(ok: bool) -> int:
+    return 0 if ok else VERIFICATION_FAILURE
+
+
+def cmd_family_build(args) -> tuple[str, int]:
     fam = build_family(args)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "name": fam.name,
-        "p": fam.p,
-        "ambient_dim": fam.ambient_dim,
-        "expected_multiplicities": list(fam.expected_multiplicities)
-        if fam.expected_multiplicities
-        else None,
-        "provenance": fam.provenance,
-        "num_terms": fam.F.num_terms(),
-    }
+    meta = {"schema_version": SCHEMA_VERSION, **fam.to_dict()}
     if args.format == "json":
         meta["terms"] = fam.F.dumps().splitlines()
-        _emit(_report("family build", meta), args.output)
-    else:
-        text = json.dumps(meta, sort_keys=True) + "\n" + fam.F.dumps() + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    return 0
+        return _json("family build", meta), 0
+    return json.dumps(meta, sort_keys=True) + "\n" + fam.F.dumps() + "\n", 0
 
 
-def cmd_verify_cm(args) -> int:
-    fam = build_family(args)
-    report = verify_cm(fam)
-    payload = _report("verify cm", report.to_dict())
+def cmd_verify_cm(args) -> tuple[str, int]:
+    report = verify_cm(build_family(args))
+    result = report.to_dict()
     if args.dump_poly and not report.ok:
-        payload["result"]["grad_residual"] = report.grad_residual.dumps().splitlines()
-        payload["result"]["laplace_residual"] = (
-            report.laplace_residual.dumps().splitlines()
-        )
-    _emit(payload, args.output)
-    return 0 if report.ok else VERIFICATION_FAILURE
+        result["grad_residual"] = report.grad_residual.dumps().splitlines()
+        result["laplace_residual"] = report.laplace_residual.dumps().splitlines()
+    return _json("verify cm", result), _verdict(report.ok)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[str, int]:
     fam = build_family(args)
     report = spectral.spectrum_report(
         fam,
@@ -167,44 +144,31 @@ def cmd_spectrum(args) -> int:
         base_seed=args.seed,
         cluster_tol=args.cluster_tol,
     )
-    _emit(_report("spectrum", report.to_dict()), args.output)
     ok = report.seed_agreement_ok and report.munzner.ok
-    return 0 if ok else VERIFICATION_FAILURE
+    return _json("spectrum", report.to_dict()), _verdict(ok)
 
 
-def cmd_parallel(args) -> int:
-    fam = build_family(args)
-    pt = spectral.sample_level(fam, args.t, seed=args.seed)
+def cmd_parallel(args) -> tuple[str, int]:
+    pt = spectral.sample_level(build_family(args), args.t, seed=args.seed)
     report = spectral.parallel_check(pt, args.travel)
-    _emit(_report("parallel", report.to_dict()), args.output)
-    return 0 if report.ok else VERIFICATION_FAILURE
+    return _json("parallel", report.to_dict()), _verdict(report.ok)
 
 
-def cmd_focal(args) -> int:
-    fam = build_family(args)
-    pt = spectral.sample_level(fam, args.t, seed=args.seed)
+def cmd_focal(args) -> tuple[str, int]:
+    pt = spectral.sample_level(build_family(args), args.t, seed=args.seed)
     report = spectral.focal_check(pt, args.index)
-    _emit(_report("focal", report.to_dict()), args.output)
-    return 0 if report.ok else VERIFICATION_FAILURE
+    return _json("focal", report.to_dict()), _verdict(report.ok)
 
 
-def cmd_nurowski_check(args) -> int:
-    tensor = upsilon_for_dimension(args.dim)
-    report = check_conditions(tensor)
+def cmd_nurowski_check(args) -> tuple[str, int]:
+    report = check_conditions(upsilon_for_dimension(args.dim))
     result = report.to_dict()
     if args.dim == 5:
-        cross = det_cubic_cross_check()
-        result["determinant_cross_check"] = {
-            "det_matches_expansion": cross.det_matches_expansion,
-            "det_matches_after_x5_negation": cross.det_matches_after_x5_negation,
-            "expansion_matches_cartan_r": cross.expansion_matches_cartan_r,
-            "note": cross.note,
-        }
-    _emit(_report("nurowski check", result), args.output)
-    return 0 if report.ok else VERIFICATION_FAILURE
+        result["determinant_cross_check"] = det_cubic_cross_check().to_dict()
+    return _json("nurowski check", result), _verdict(report.ok)
 
 
-def cmd_clifford_build(args) -> int:
+def cmd_clifford_build(args) -> tuple[str, int]:
     gens = build_generators(args.m, args.k)
     if args.what == "system":
         system = build_system(gens)
@@ -220,45 +184,22 @@ def cmd_clifford_build(args) -> int:
         lines.append(f"# {label}")
         for row in np.asarray(M):
             lines.append(",".join(str(int(v)) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if ok else VERIFICATION_FAILURE
+    return "\n".join(lines) + "\n", _verdict(ok)
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> tuple[str, int]:
     if args.table == "rank2":
         check = cat.rank2_self_check()
-        rows = [
-            {
-                "g": r.g,
-                "h": r.h,
-                "dim_M": r.dim_M,
-                "p": r.p,
-                "multiplicities": r.multiplicities,
-                "printed_inconsistent": r.printed_inconsistent,
-                "note": r.note,
-            }
-            for r in cat.rank2_table()
-        ]
         result = {
-            "rows": rows,
+            "rows": [row.to_dict() for row in cat.rank2_table()],
             "self_check_ok": check.ok,
             "flagged": [f"{r.g}/{r.h}" for r in check.flagged_rows],
         }
-        _emit(_report("catalog rank2", result), args.output)
-        return 0 if check.ok else VERIFICATION_FAILURE
+        return _json("catalog rank2", result), _verdict(check.ok)
     if args.table == "fkm-table":
         check = cat.printed_fkm_check()
-        entries = [
-            {"m": e.m, "k": e.k, "delta": e.delta_m, "pair": list(e.pair) if e.pair else None}
-            for e in cat.fkm_table()
-        ]
         result = {
-            "entries": entries,
+            "entries": [entry.to_dict() for entry in cat.fkm_table()],
             "printed_matches": check.matches,
             "printed_mismatches": [
                 {"k": k, "m": m, "printed": list(p), "formula": list(f)}
@@ -266,20 +207,16 @@ def cmd_catalog(args) -> int:
             ],
             "ok_except_flagged": check.ok_except_flagged,
         }
-        _emit(_report("catalog fkm-table", result), args.output)
-        return 0 if check.ok_except_flagged else VERIFICATION_FAILURE
+        return _json("catalog fkm-table", result), _verdict(check.ok_except_flagged)
     if args.table == "inhom":
         if args.m1 is None or args.m2 is None:
             raise DomainError("inhom needs --m1 and --m2")
         verdict = cat.inhomogeneity_predicate(
             args.m1, args.m2, m=args.m, degenerate=args.degenerate
         )
-        _emit(_report("catalog inhom", verdict.to_dict()), args.output)
-        return 0
+        return _json("catalog inhom", verdict.to_dict()), 0
     if args.table == "su3-orbit":
-        report = cat.su3_orbit_spectrum()
-        _emit(_report("catalog su3-orbit", report.to_dict()), args.output)
-        return 0
+        return _json("catalog su3-orbit", cat.su3_orbit_spectrum().to_dict()), 0
     raise DomainError(f"unknown catalog table {args.table}")
 
 
@@ -295,44 +232,64 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    family_args = argparse.ArgumentParser(add_help=False)
+    family_args.add_argument("--family", required=True, choices=FAMILIES)
+    family_args.add_argument(
+        "--n", type=int, help="sphere dimension (linear/product) or block size (nomizu)"
+    )
+    family_args.add_argument(
+        "--k", type=int, help="split index (product) or number of irreducible blocks (fkm)"
+    )
+    family_args.add_argument(
+        "--algebra", choices=[t.name for t in AlgebraTag], help="R, C, H or O (cartan-cubic)"
+    )
+    family_args.add_argument("--m", type=int, help="Clifford system size parameter (fkm)")
+
     p_family = sub.add_parser("family", help="family polynomial factories")
     family_sub = p_family.add_subparsers(dest="family_command", required=True)
-    p_build = family_sub.add_parser("build", help="emit a family polynomial")
-    _add_family_args(p_build)
+    p_build = family_sub.add_parser(
+        "build", parents=[family_args], help="emit a family polynomial"
+    )
     p_build.add_argument("--format", choices=("poly-text", "json"), default="poly-text")
     p_build.add_argument("--output", "-o")
     p_build.set_defaults(func=cmd_family_build)
 
     p_verify = sub.add_parser("verify", help="exact identity verification")
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
-    p_cm = verify_sub.add_parser("cm", help="Cartan-Muenzner identities")
-    _add_family_args(p_cm)
+    p_cm = verify_sub.add_parser(
+        "cm", parents=[family_args], help="Cartan-Muenzner identities"
+    )
     p_cm.add_argument("--dump-poly", action="store_true", help="include residual polynomials on failure")
     p_cm.add_argument("--output", "-o")
     p_cm.set_defaults(func=cmd_verify_cm)
 
-    p_spec = sub.add_parser("spectrum", help="principal curvature spectrum of a level set")
-    _add_family_args(p_spec)
+    p_spec = sub.add_parser(
+        "spectrum", parents=[family_args], help="principal curvature spectrum of a level set"
+    )
     p_spec.add_argument("--t", type=float, default=0.0)
     p_spec.add_argument("--seeds", type=_positive_int, default=1)
-    p_spec.add_argument("--seed", type=int, default=spectral.DEFAULT_SEED)
-    p_spec.add_argument("--cluster-tol", type=float, default=spectral.DEFAULT_CLUSTER_TOL)
+    p_spec.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
+    p_spec.add_argument(
+        "--cluster-tol", type=_positive_float, default=spectral.DEFAULT_CLUSTER_TOL
+    )
     p_spec.add_argument("--output", "-o")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_par = sub.add_parser("parallel", help="parallel surface curvature law")
-    _add_family_args(p_par)
+    p_par = sub.add_parser(
+        "parallel", parents=[family_args], help="parallel surface curvature law"
+    )
     p_par.add_argument("--t", type=float, default=0.0)
-    p_par.add_argument("--travel", type=float, required=True)
-    p_par.add_argument("--seed", type=int, default=spectral.DEFAULT_SEED)
+    p_par.add_argument("--travel", type=_finite_float, required=True)
+    p_par.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
     p_par.add_argument("--output", "-o")
     p_par.set_defaults(func=cmd_parallel)
 
-    p_focal = sub.add_parser("focal", help="focal rank collapse at a curvature angle")
-    _add_family_args(p_focal)
+    p_focal = sub.add_parser(
+        "focal", parents=[family_args], help="focal rank collapse at a curvature angle"
+    )
     p_focal.add_argument("--t", type=float, default=0.0)
     p_focal.add_argument("--index", type=int, required=True, help="curvature index k (0-based)")
-    p_focal.add_argument("--seed", type=int, default=spectral.DEFAULT_SEED)
+    p_focal.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
     p_focal.add_argument("--output", "-o")
     p_focal.set_defaults(func=cmd_focal)
 
@@ -368,13 +325,23 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except (DomainError, PreconditionError, StructureError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (ConstructionError, FocalAngleError, InstabilityError, SamplingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return RUNTIME_FAILURE
+    try:
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .division_algebras import AlgebraTag, left_multiplication_matrix
+from .division_algebras import AlgebraTag, left_multiplication_matrices
 from .errors import ConstructionError, DomainError
 
 # 2x2 building blocks: J is the skew unit, K and L symmetric involutions,
@@ -118,16 +118,12 @@ def _irreducible_generators(m: int) -> list[np.ndarray]:
         return []
     if m <= 8:
         tag = {2: AlgebraTag.C, 3: AlgebraTag.H, 4: AlgebraTag.H}.get(m, AlgebraTag.O)
-        return [
-            np.array(left_multiplication_matrix(tag, i + 1), dtype=np.int64)
-            for i in range(m - 1)
-        ]
+        return [np.array(L, dtype=np.int64) for L in left_multiplication_matrices(tag)[1:m]]
     # periodicity step: 8 new structures on R^16 plus the smaller set behind L
     small = _irreducible_generators(m - 8)
     l_small = delta(m - 8)
     octonion = [
-        np.array(left_multiplication_matrix(AlgebraTag.O, i), dtype=np.int64)
-        for i in range(1, 8)
+        np.array(L, dtype=np.int64) for L in left_multiplication_matrices(AlgebraTag.O)[1:]
     ]
     g16 = [np.kron(_K, F) for F in octonion]
     g16.append(np.kron(_J, np.eye(8, dtype=np.int64)))

@@ -24,10 +24,11 @@ from fractions import Fraction
 from .errors import InconsistencyError, PreconditionError
 from .families import IsoparametricFamily
 from .polyalg import Poly, ScalarQ3, sum_of_squares
+from .report import Report, report_key
 
 
 @dataclass(frozen=True)
-class CMReport:
+class CMReport(Report):
     """Outcome of the exact gradient/Laplace identity checks."""
 
     family: str
@@ -37,43 +38,27 @@ class CMReport:
     laplace_identity_ok: bool
     inferred_c: ScalarQ3
     inferred_m_diff: Fraction | None  # m2 - m1 = 2c / p^2, None if c irrational
-    grad_residual: Poly
-    laplace_residual: Poly
+    grad_residual: Poly = report_key("grad_residual_terms")
+    laplace_residual: Poly = report_key("laplace_residual_terms")
+
+    citation = "Cartan-Muenzner equations (Muenzner 1980/81)"
 
     @property
     def ok(self) -> bool:
         return self.euler_ok and self.grad_identity_ok and self.laplace_identity_ok
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "p": self.p,
-            "euler_ok": self.euler_ok,
-            "grad_identity_ok": self.grad_identity_ok,
-            "laplace_identity_ok": self.laplace_identity_ok,
-            "inferred_c": repr(self.inferred_c),
-            "inferred_m_diff": (
-                None
-                if self.inferred_m_diff is None
-                else f"{self.inferred_m_diff.numerator}/{self.inferred_m_diff.denominator}"
-            ),
-            "grad_residual_terms": self.grad_residual.num_terms(),
-            "laplace_residual_terms": self.laplace_residual.num_terms(),
-            "ok": self.ok,
-            "identities": [
-                {
-                    "statement": "|grad F|^2 = p^2 r^(2p-2)",
-                    "ok": self.grad_identity_ok,
-                },
-                {
-                    "statement": "lap F = c r^(p-2), c = p^2 (m2 - m1) / 2"
-                    if self.p % 2 == 0
-                    else "lap F = 0 (odd p)",
-                    "ok": self.laplace_identity_ok,
-                },
-            ],
-            "citation": "Cartan-Muenzner equations (Muenzner 1980/81)",
-        }
+        out = super().to_dict()
+        out["identities"] = [
+            {"statement": "|grad F|^2 = p^2 r^(2p-2)", "ok": self.grad_identity_ok},
+            {
+                "statement": "lap F = c r^(p-2), c = p^2 (m2 - m1) / 2"
+                if self.p % 2 == 0
+                else "lap F = 0 (odd p)",
+                "ok": self.laplace_identity_ok,
+            },
+        ]
+        return out
 
 
 def verify_cm(fam: IsoparametricFamily) -> CMReport:

@@ -167,8 +167,11 @@ def structure_constants(tag: AlgebraTag) -> StructureConstants:
     return StructureConstants(tag, tuple(table))
 
 
-def left_multiplication_matrix(tag: AlgebraTag, index: int) -> list[list[int]]:
-    """Matrix of x -> e_index * x in the standard basis (column b is e_i e_b)."""
+def left_multiplication_matrices(tag: AlgebraTag) -> list[list[list[int]]]:
+    """Matrices of x -> e_i * x for i = 0..d-1 (column b of matrix i is e_i e_b).
+
+    All d matrices come from one structure-constant table.
+    """
     sc = structure_constants(tag).c
     d = tag.dim
-    return [[sc[index][b][a] for b in range(d)] for a in range(d)]
+    return [[[sc[i][b][a] for b in range(d)] for a in range(d)] for i in range(d)]

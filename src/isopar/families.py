@@ -40,16 +40,17 @@ from .clifford import CliffordSystem, delta
 from .division_algebras import AlgebraTag, cayley_dickson_mul
 from .errors import DomainError, PreconditionError
 from .polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
+from .report import Report, report_key
 
 
 @dataclass(frozen=True)
-class IsoparametricFamily:
+class IsoparametricFamily(Report):
     """A named Cartan-Muenzner polynomial with its declared invariants."""
 
     name: str
     p: int
     ambient_dim: int
-    F: Poly
+    F: Poly = report_key("num_terms")
     expected_multiplicities: tuple | None  # (m1, m2) or None
     provenance: str
 
@@ -329,11 +330,11 @@ def rename_cartan_r_to_nurowski(F: Poly) -> Poly:
 
 
 @dataclass(frozen=True)
-class DetCubicReport:
+class DetCubicReport(Report):
     """Cross check of the determinant route against the expanded form."""
 
-    det_half: Poly
-    expansion: Poly
+    det_half: Poly = report_key(None)
+    expansion: Poly = report_key(None)
     det_matches_expansion: bool
     det_matches_after_x5_negation: bool
     expansion_matches_cartan_r: bool

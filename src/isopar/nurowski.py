@@ -31,6 +31,7 @@ from .division_algebras import AlgebraTag
 from .errors import PreconditionError
 from .families import cartan_cubic
 from .polyalg import Poly, ScalarQ3
+from .report import Report, report_key
 
 
 @dataclass(frozen=True)
@@ -103,34 +104,31 @@ def extract_upsilon(F: Poly) -> UpsilonTensor:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Report):
     n: int
-    symmetric_ok: bool
-    trace_free_ok: bool
-    trace_failures: tuple  # indices i with sum_j Y_ijj != 0
-    quadratic_ok: bool
-    quadratic_tuples_checked: int
-    quadratic_failures: tuple  # first few (j, k, l, m) tuples
+    symmetric_ok: bool = report_key("condition_1_symmetric")
+    trace_free_ok: bool = report_key("condition_2_trace_free")
+    # indices i with sum_j Y_ijj != 0
+    trace_failures: tuple = report_key("condition_2_failures")
+    quadratic_ok: bool = report_key("condition_3_quadratic")
+    quadratic_tuples_checked: int = report_key("condition_3_tuples_checked")
+    # first few (j, k, l, m) tuples
+    quadratic_failures: tuple = report_key("condition_3_first_failures")
+
+    citation = "Nurowski's conditions (1)-(3) for an irreducible isotropy reduction of SO(n)"
 
     @property
     def ok(self) -> bool:
         return self.symmetric_ok and self.trace_free_ok and self.quadratic_ok
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "condition_1_symmetric": self.symmetric_ok,
-            "condition_2_trace_free": self.trace_free_ok,
-            "condition_2_failures": [i + 1 for i in self.trace_failures],
-            "condition_3_quadratic": self.quadratic_ok,
-            "condition_3_tuples_checked": self.quadratic_tuples_checked,
-            "condition_3_first_failures": [
-                [a + 1 for a in tup] for tup in self.quadratic_failures
-            ],
-            "ok": self.ok,
-            "citation": "Nurowski's conditions (1)-(3) for an irreducible "
-            "isotropy reduction of SO(n)",
-        }
+        """As ``Report.to_dict``, with the failure indices 1-based."""
+        out = super().to_dict()
+        out["condition_2_failures"] = [i + 1 for i in self.trace_failures]
+        out["condition_3_first_failures"] = [
+            [a + 1 for a in tup] for tup in self.quadratic_failures
+        ]
+        return out
 
 
 def _pair_vectors(tensor: UpsilonTensor) -> dict:

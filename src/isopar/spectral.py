@@ -41,6 +41,7 @@ from .errors import (
     SamplingError,
 )
 from .families import IsoparametricFamily
+from .report import Report, report_key
 
 DEFAULT_SEED = 2718
 DEFAULT_CLUSTER_TOL = 1e-4
@@ -130,10 +131,16 @@ class FamilyGeometry:
 
 
 def geometry(fam: IsoparametricFamily) -> FamilyGeometry:
-    geo = _geometry_cache.get(fam)
+    """The cached geometry of fam, compiled on the first request.
+
+    A hit is stored again under the caller's family object: a rebuilt but
+    equal family then matches by identity on later lookups, without the
+    term-by-term comparison of its polynomial.
+    """
+    geo = _geometry_cache.pop(fam, None)
     if geo is None:
         geo = FamilyGeometry(fam)
-        _geometry_cache[fam] = geo
+    _geometry_cache[fam] = geo
     return geo
 
 
@@ -164,7 +171,7 @@ class NormalFrame:
 
 
 @dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Report):
     """Clustered principal curvatures at one surface point.
 
     ``eigenvalues`` is the raw sorted (ascending) list; ``clusters`` pairs
@@ -184,13 +191,9 @@ class Spectrum:
         return tuple(m for _, m in self.clusters)
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "clusters": [{"value": v, "multiplicity": m} for v, m in self.clusters],
-            "p": self.p,
-            "thetas": list(self.thetas),
-            "normal_sign": self.normal_sign,
-        }
+        out = super().to_dict()
+        out["clusters"] = [{"value": v, "multiplicity": m} for v, m in self.clusters]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +362,21 @@ def spectrum_at(pt: SurfacePoint, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
 
 
 @dataclass(frozen=True)
-class MunznerReport:
+class MunznerReport(Report):
     p: int
     p_allowed: bool
     spacing_ok: bool
     max_spacing_error: float
     multiplicity_rule_ok: bool
 
+    citation = (
+        "Muenzner restriction p in {1,2,3,4,6}; "
+        "theta_k = theta_1 + (k-1) pi / p; m_k = m_{k+2}"
+    )
+
     @property
     def ok(self) -> bool:
         return self.p_allowed and self.spacing_ok and self.multiplicity_rule_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "p_allowed": self.p_allowed,
-            "spacing_ok": self.spacing_ok,
-            "max_spacing_error": self.max_spacing_error,
-            "multiplicity_rule_ok": self.multiplicity_rule_ok,
-            "ok": self.ok,
-            "citation": "Muenzner restriction p in {1,2,3,4,6}; "
-            "theta_k = theta_1 + (k-1) pi / p; m_k = m_{k+2}",
-        }
 
 
 def munzner_check(spectrum: Spectrum, spacing_tol: float = 1e-6) -> MunznerReport:
@@ -411,7 +407,7 @@ def munzner_check(spectrum: Spectrum, spacing_tol: float = 1e-6) -> MunznerRepor
 
 
 @dataclass(frozen=True)
-class ParallelReport:
+class ParallelReport(Report):
     travel: float
     start_level: float
     end_level: float
@@ -420,26 +416,13 @@ class ParallelReport:
     predicted_curvatures: tuple
     measured_curvatures: tuple
     max_curvature_error: float
-    curvatures_ok: bool
+    curvatures_ok: bool = report_key(None)
+
+    citation = "parallel surface x_t = cos t x + sin t xi with curvatures cot(theta_k - t)"
 
     @property
     def ok(self) -> bool:
         return self.level_ok and self.curvatures_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "travel": self.travel,
-            "start_level": self.start_level,
-            "end_level": self.end_level,
-            "predicted_level": self.predicted_level,
-            "level_ok": self.level_ok,
-            "predicted_curvatures": list(self.predicted_curvatures),
-            "measured_curvatures": list(self.measured_curvatures),
-            "max_curvature_error": self.max_curvature_error,
-            "ok": self.ok,
-            "citation": "parallel surface x_t = cos t x + sin t xi with "
-            "curvatures cot(theta_k - t)",
-        }
 
 
 def _focal_distance(travel: float, thetas) -> float:
@@ -504,30 +487,23 @@ def parallel_check(
 
 
 @dataclass(frozen=True)
-class FocalReport:
+class FocalReport(Report):
     angle: float
     is_focal_angle: bool
     expected_nullity: int | None
     nullity: int
     singular_values: tuple
 
+    citation = (
+        "focal submanifold of codimension m_k + 1: the "
+        "parallel map at theta_k loses exactly m_k ranks"
+    )
+
     @property
     def ok(self) -> bool:
         if self.expected_nullity is None:
             return self.nullity == 0
         return self.nullity == self.expected_nullity
-
-    def to_dict(self) -> dict:
-        return {
-            "angle": self.angle,
-            "is_focal_angle": self.is_focal_angle,
-            "expected_nullity": self.expected_nullity,
-            "nullity": self.nullity,
-            "singular_values": list(self.singular_values),
-            "ok": self.ok,
-            "citation": "focal submanifold of codimension m_k + 1: the "
-            "parallel map at theta_k loses exactly m_k ranks",
-        }
 
 
 def parallel_map_rank(
@@ -618,7 +594,7 @@ def nonfocal_rank_check(
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Report):
     family: str
     t: float
     seeds: tuple
@@ -626,19 +602,9 @@ class SpectrumReport:
     munzner: MunznerReport
     cross_seed_deviation: float
     seed_agreement_ok: bool
+    normal_convention: str = field(init=False, default="xi = +grad_S f / |grad_S f|")
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "t": self.t,
-            "seeds": list(self.seeds),
-            "spectrum": self.spectrum.to_dict(),
-            "munzner": self.munzner.to_dict(),
-            "cross_seed_deviation": self.cross_seed_deviation,
-            "seed_agreement_ok": self.seed_agreement_ok,
-            "normal_convention": "xi = +grad_S f / |grad_S f|",
-            "citation": "constancy of principal curvatures on each level set",
-        }
+    citation = "constancy of principal curvatures on each level set"
 
 
 def spectrum_report(

@@ -1,5 +1,6 @@
 """Command grammar, exit codes, report determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -170,3 +171,86 @@ def test_runtime_failure_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "focal" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--seed", "-1"),
+        ("parallel", "--family", "product", "--n", "7", "--k", "4", "--travel", "0.3", "--seed", "-1"),
+        ("focal", "--family", "product", "--n", "7", "--k", "4", "--index", "0", "--seed", "-1"),
+        ("parallel", "--family", "product", "--n", "7", "--k", "4", "--travel", "nan"),
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--cluster-tol", "-1"),
+    ],
+    ids=["spectrum-seed", "parallel-seed", "focal-seed", "travel", "cluster-tol"],
+)
+def test_out_of_range_numbers_are_parser_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "family", "build", "--family", "linear", "--n", "3", "-o", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
+# sha256 of the full stdout, recorded before the reports shared one renderer
+PINNED_STDOUT = [
+    (("catalog", "rank2"), "206c753ab288a9a373f3bddd46a505932b8f6e1e358d2358097f51def9f65500"),
+    (("catalog", "fkm-table"), "7232ac8cf3f639a8196b2929d8194aa6385bf34b7ef81952f5c0bc13f2b5701e"),
+    (
+        ("catalog", "inhom", "--m1", "3", "--m2", "4"),
+        "da9e838440c8ff5aee0440ba5245d7b6956dce9a84a9326c4b9c834611d4e73e",
+    ),
+    (
+        ("clifford", "build", "--m", "3", "--k", "2"),
+        "657cc275b4812ff924a642459029765dc8edac5722f19edf227a25da3a5352bb",
+    ),
+    (
+        ("family", "build", "--family", "product", "--n", "7", "--k", "4"),
+        "40add647b022cb526e48fb11db4c85245fe4b9d5c84fd09cd7187ea9a4c6b076",
+    ),
+    (
+        ("nurowski", "check", "--dim", "5"),
+        "5c6a2f1c583e733ea24d4d542f66c106922bdca726136dd92d9bfd2e28eac7e8",
+    ),
+    (
+        ("verify", "cm", "--family", "fkm", "--m", "2", "--k", "2"),
+        "d19b2787cd663148a46a4a4a27a0bb1168f70b75549624312a37355499f1f5e0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=lambda v: " ".join(v)[:40])
+def test_exact_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "build", "--family", "product", "--n", "7", "--k", "4"),
+        ("clifford", "build", "--m", "3", "--k", "2"),
+        ("verify", "cm", "--family", "cartan-cubic", "--algebra", "R"),
+    ],
+    ids=["poly-text", "clifford-csv", "json-report"],
+)
+def test_output_file_holds_stdout_bytes(tmp_path, capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, file_out, _ = run(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert file_out == ""
+    assert target.read_bytes() == out.encode()

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from isopar import division_algebras
 from isopar.clifford import (
     CliffordSystem,
     build_generators,
@@ -12,6 +13,7 @@ from isopar.clifford import (
     delta,
     validate_system,
 )
+from isopar.division_algebras import AlgebraTag
 from isopar.errors import ConstructionError, DomainError
 
 
@@ -155,3 +157,16 @@ def test_construction_error_on_bad_generators():
     bad = CliffordGenerators(m=2, l=2, mats=(np.eye(2, dtype=np.int64),))
     with pytest.raises(ConstructionError):
         build_system(bad) if bad.validate() is None else None
+
+
+def test_generators_compute_structure_constants_once(monkeypatch):
+    calls = []
+    original = division_algebras.structure_constants
+
+    def counting(tag):
+        calls.append(tag)
+        return original(tag)
+
+    monkeypatch.setattr(division_algebras, "structure_constants", counting)
+    build_generators(9, 1)
+    assert calls == [AlgebraTag.O]

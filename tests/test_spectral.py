@@ -21,6 +21,7 @@ from isopar.families import (
     nomizu_family,
     product_family,
 )
+from isopar.polyalg import Poly
 
 PRODUCT = product_family(7, 4)
 CARTAN_R = cartan_cubic(AlgebraTag.R)
@@ -295,6 +296,23 @@ def test_spectrum_report_is_deterministic():
     a = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     b = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     assert a.to_dict() == b.to_dict()
+
+
+def test_geometry_cache_rekeys_an_equal_rebuilt_family(monkeypatch):
+    first = spectral.geometry(nomizu_family(4))
+    rebuilt = nomizu_family(4)
+    assert spectral.geometry(rebuilt) is first  # a hit by equality
+    compares = []
+    original = Poly.__eq__
+
+    def counting(self, other):
+        compares.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__eq__", counting)
+    for _ in range(5):
+        assert spectral.geometry(rebuilt) is first
+    assert compares == []
 
 
 # ---------------------------------------------------------------------------
