@@ -16,8 +16,8 @@ Reports are JSON documents with a schema_version field and are byte
 identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed, 2 usage error (including a negative --seed, a
-non-finite --travel, a --cluster-tol that is not a finite number > 0, and
-an --output path that cannot be written), 3 a numerical procedure failed
+non-finite --travel, a --cluster-tol that is not a finite number > 0, a
+catalog inhom --m below 1, and an --output path that cannot be written), 3 a numerical procedure failed
 at run time (sampling did not converge, ambiguous clustering, a focal
 travel angle, a construction that failed its own relations).
 
@@ -313,7 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("table", choices=("rank2", "fkm-table", "inhom", "su3-orbit"))
     p_cat.add_argument("--m1", type=int)
     p_cat.add_argument("--m2", type=int)
-    p_cat.add_argument("--m", type=int)
+    p_cat.add_argument("--m", type=_positive_int)
     p_cat.add_argument("--degenerate", action="store_true")
     p_cat.add_argument("--output", "-o")
     p_cat.set_defaults(func=cmd_catalog)

@@ -9,10 +9,25 @@ Representation:
 
   ScalarQ3   value a + b*sqrt(3) with a, b exact fractions.Fraction values
   Monomial   tuple of non-negative ints, one exponent per ambient variable
-  Poly       variable count plus a dict Monomial -> ScalarQ3; zero
-             coefficients are never stored, so the zero polynomial has an
-             empty term map and identity testing reduces to emptiness of a
-             difference
+  Poly       (A + sqrt3*B) / den: A and B map packed exponent keys to
+             nonzero Python ints, den > 0 is one shared denominator, and
+             the gcd of den with every numerator is 1, so equal polynomials
+             have equal maps and identity testing reduces to emptiness of a
+             difference.  B is empty unless the polynomial has irrational
+             coefficients (the Cartan and Nurowski cubics).
+
+A key packs an exponent vector into one int, one 8-bit field per variable
+with variable 0 in the most significant field.  Integer order of keys is
+then lexicographic order of exponent vectors, and the key of a product of
+monomials is the sum of their keys, so multiplication is integer addition
+on keys and integer multiplication on numerators.  A field holds exponents
+up to MAX_EXPONENT = 255 and must never carry into its neighbour: the
+constructor and ``loads`` refuse a larger exponent, and a product whose
+total degree could exceed 255 raises StructureError.
+
+ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
+ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
+``scale`` accept int, Fraction or ScalarQ3 values.
 
 All values are immutable after construction and all operations are pure
 functions; evaluating and differentiating from several threads is safe.
@@ -38,6 +53,8 @@ Monomial = tuple  # tuple[int, ...], one exponent per variable
 ScalarLike = Union["ScalarQ3", Fraction, int]
 
 _SQRT3 = math.sqrt(3.0)
+
+MAX_EXPONENT = 255  # the largest value of one 8-bit key field
 
 
 class ScalarQ3:
@@ -165,35 +182,129 @@ def _coerce_point_exact(point: Sequence) -> list[ScalarQ3]:
     return [ScalarQ3.from_value(v) for v in point]
 
 
+def _pack(mono: Monomial) -> int:
+    """The key of an exponent vector: one byte per variable, variable 0 first."""
+    return int.from_bytes(bytes(mono), "big")
+
+
+def _unpack(key: int, num_vars: int) -> Monomial:
+    return tuple(key.to_bytes(num_vars, "big"))
+
+
+def _key_degree(key: int, num_vars: int) -> int:
+    return sum(key.to_bytes(num_vars, "big"))
+
+
+def _nonzero(nums: dict) -> dict:
+    return {k: v for k, v in nums.items() if v}
+
+
+def _lincomb(x: dict, cx: int, y: dict, cy: int) -> dict:
+    """cx*x + cy*y on numerator maps, zeros pruned, keys of x first."""
+    if cx == 1:
+        out = x.copy()
+    else:
+        out = {k: v * cx for k, v in x.items()} if cx else {}
+    if cy:
+        get = out.get
+        for k, v in y.items():
+            s = get(k, 0) + v * cy
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _mul_into(out: dict, x: dict, y: dict, c: int = 1) -> None:
+    """Add c*x*y to ``out``; the key of a product of monomials is the key sum.
+
+    When x and y are the same map the product is a square, formed from the
+    upper triangle of term pairs with the cross terms doubled.
+    """
+    get = out.get
+    if x is y:
+        terms = list(x.items())
+        for i, (kx, vx) in enumerate(terms):
+            k = kx + kx
+            out[k] = get(k, 0) + c * vx * vx
+            vx *= 2 * c
+            for ky, vy in terms[i + 1:]:
+                k = kx + ky
+                out[k] = get(k, 0) + vx * vy
+    else:
+        terms = list(y.items())
+        for kx, vx in x.items():
+            vx *= c
+            for ky, vy in terms:
+                k = kx + ky
+                out[k] = get(k, 0) + vx * vy
+
+
+def _derivative(nums: dict, shift: int) -> dict:
+    """d/dx of every term whose exponent sits at bit ``shift`` of the key."""
+    unit = 1 << shift
+    return {k - unit: v * e for k, v in nums.items() if (e := (k >> shift) & 0xFF)}
+
+
 class Poly:
     """A sparse multivariate polynomial over Q(sqrt 3).
 
-    ``terms`` maps exponent tuples of length ``num_vars`` to nonzero
-    ScalarQ3 coefficients.  Instances are immutable; arithmetic returns new
-    polynomials with zero coefficients pruned.
+    The value is (A + sqrt3 B) / den: ``_a`` and ``_b`` map packed exponent
+    keys to nonzero integer numerators and ``den`` is a positive integer
+    whose gcd with all the numerators is 1.  Instances are immutable;
+    arithmetic returns new polynomials in this canonical form.
     """
 
-    __slots__ = ("num_vars", "_terms", "_hash")
+    __slots__ = ("num_vars", "_a", "_b", "_den", "_hash")
 
     def __init__(self, num_vars: int, terms: Mapping[Monomial, ScalarLike] | None = None):
         if num_vars < 1:
             raise StructureError("num_vars must be positive")
-        clean: dict = {}
-        if terms:
-            for mono, coeff in terms.items():
-                mono = tuple(mono)
-                if len(mono) != num_vars:
-                    raise StructureError(
-                        f"monomial {mono} has {len(mono)} exponents, expected {num_vars}"
-                    )
-                if any((not isinstance(e, int)) or e < 0 for e in mono):
-                    raise StructureError(f"monomial {mono} has invalid exponents")
-                c = ScalarQ3.from_value(coeff)
-                if not c.is_zero():
-                    clean[mono] = c
+        coeffs = []
+        for mono, coeff in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != num_vars:
+                raise StructureError(
+                    f"monomial {mono} has {len(mono)} exponents, expected {num_vars}"
+                )
+            if any((not isinstance(e, int)) or e < 0 for e in mono):
+                raise StructureError(f"monomial {mono} has invalid exponents")
+            if max(mono) > MAX_EXPONENT:
+                raise StructureError(
+                    f"monomial {mono} has an exponent above {MAX_EXPONENT}, "
+                    "the largest one key field holds"
+                )
+            c = ScalarQ3.from_value(coeff)
+            if not c.is_zero():
+                coeffs.append((_pack(mono), c))
+        den = math.lcm(*(f.denominator for _, c in coeffs for f in (c.a, c.b)))
+        self._store(
+            num_vars,
+            {k: c.a.numerator * (den // c.a.denominator) for k, c in coeffs if c.a},
+            {k: c.b.numerator * (den // c.b.denominator) for k, c in coeffs if c.b},
+            den,
+        )
+
+    def _store(self, num_vars: int, a: dict, b: dict, den: int) -> None:
+        if den != 1:
+            g = math.gcd(den, *a.values(), *b.values())
+            if g != 1:
+                den //= g
+                a = {k: v // g for k, v in a.items()}
+                b = {k: v // g for k, v in b.items()}
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _raw(cls, num_vars: int, a: dict, b: dict, den: int) -> "Poly":
+        # internal fast path from numerator maps without zero values
+        p = object.__new__(cls)
+        p._store(num_vars, a, b, den)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
@@ -220,27 +331,46 @@ class Poly:
     # -- access -------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, ScalarQ3]]:
-        return iter(self._terms.items())
+        """(exponent tuple, coefficient) pairs: the terms of A, then those only in B."""
+        n, a, b, den = self.num_vars, self._a, self._b, self._den
+        for k, v in a.items():
+            yield _unpack(k, n), ScalarQ3(Fraction(v, den), Fraction(b.get(k, 0), den))
+        for k, v in b.items():
+            if k not in a:
+                yield _unpack(k, n), ScalarQ3(0, Fraction(v, den))
 
     def coefficient(self, mono: Iterable[int]) -> ScalarQ3:
-        return self._terms.get(tuple(mono), ZERO)
+        mono = tuple(mono)
+        if len(mono) != self.num_vars:
+            return ZERO
+        try:
+            key = _pack(mono)
+        except (TypeError, ValueError):  # not an exponent one key field holds
+            return ZERO
+        a, b = self._a.get(key, 0), self._b.get(key, 0)
+        if not a and not b:
+            return ZERO
+        return ScalarQ3(Fraction(a, self._den), Fraction(b, self._den))
+
+    def _keys(self):
+        return self._a.keys() | self._b.keys() if self._b else self._a.keys()
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._keys())
 
     def is_zero(self) -> bool:
-        """Exact emptiness of the canonical term map, never a numeric test."""
-        return not self._terms
+        """Exact emptiness of the canonical term maps, never a numeric test."""
+        return not self._a and not self._b
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(m) for m in self._terms)
+        n = self.num_vars
+        return max((_key_degree(k, n) for k in self._keys()), default=None)
 
     def homogeneous_degree(self) -> int | None:
         """d if every stored monomial has total degree d, else None."""
-        degrees = {sum(m) for m in self._terms}
+        n = self.num_vars
+        degrees = {_key_degree(k, n) for k in self._keys()}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -253,54 +383,50 @@ class Poly:
                 f"variable count mismatch: {self.num_vars} vs {other.num_vars}"
             )
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = coeff
-            else:
-                s = cur + coeff
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return Poly._raw(self.num_vars, terms)
+        den = math.lcm(self._den, other._den)
+        cx, cy = den // self._den, sign * (den // other._den)
+        return Poly._raw(
+            self.num_vars,
+            _lincomb(self._a, cx, other._a, cy),
+            _lincomb(self._b, cx, other._b, cy),
+            den,
+        )
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            cur = terms.get(mono)
-            if cur is None:
-                terms[mono] = -coeff
-            else:
-                s = cur - coeff
-                if s.is_zero():
-                    del terms[mono]
-                else:
-                    terms[mono] = s
-        return Poly._raw(self.num_vars, terms)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.num_vars, {m: -c for m, c in self._terms.items()})
+        return Poly._raw(
+            self.num_vars,
+            {k: -v for k, v in self._a.items()},
+            {k: -v for k, v in self._b.items()},
+            self._den,
+        )
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            self._check_compatible(other)
-            out: dict = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                    prod = c1 * c2
-                    cur = out.get(mono)
-                    if cur is None:
-                        out[mono] = prod
-                    else:
-                        out[mono] = cur + prod
-            return Poly._raw(self.num_vars, {m: c for m, c in out.items() if not c.is_zero()})
-        return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._check_compatible(other)
+        # a field never carries into its neighbour while no exponent can pass 255
+        degree = (self.degree() or 0) + (other.degree() or 0)
+        if degree > MAX_EXPONENT:
+            raise StructureError(
+                f"product of degree {degree} could hold an exponent above "
+                f"{MAX_EXPONENT}, the largest one key field holds"
+            )
+        # (A1 + s B1)(A2 + s B2) = A1 A2 + 3 B1 B2 + s (A1 B2 + B1 A2)
+        a: dict = {}
+        b: dict = {}
+        _mul_into(a, self._a, other._a)
+        _mul_into(a, self._b, other._b, 3)
+        _mul_into(b, self._a, other._b)
+        _mul_into(b, self._b, other._a)
+        return Poly._raw(self.num_vars, _nonzero(a), _nonzero(b), self._den * other._den)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -309,7 +435,16 @@ class Poly:
         c = ScalarQ3.from_value(value)
         if c.is_zero():
             return Poly(self.num_vars)
-        return Poly._raw(self.num_vars, {m: c0 * c for m, c0 in self._terms.items()})
+        den = math.lcm(c.a.denominator, c.b.denominator)
+        ca = c.a.numerator * (den // c.a.denominator)
+        cb = c.b.numerator * (den // c.b.denominator)
+        # (A + s B)(ca + s cb) = (ca A + 3 cb B) + s (ca B + cb A)
+        return Poly._raw(
+            self.num_vars,
+            _lincomb(self._a, ca, self._b, 3 * cb),
+            _lincomb(self._b, ca, self._a, cb),
+            self._den * den,
+        )
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -319,15 +454,6 @@ class Poly:
             result = result * self
         return result
 
-    @classmethod
-    def _raw(cls, num_vars: int, terms: dict) -> "Poly":
-        # internal fast path, terms are already canonical
-        p = object.__new__(cls)
-        object.__setattr__(p, "num_vars", num_vars)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
-        return p
-
     # -- calculus ---------------------------------------------------------------
 
     def differentiate(self, index: int) -> "Poly":
@@ -336,25 +462,30 @@ class Poly:
             raise StructureError(
                 f"variable index {index} out of range for {self.num_vars} variables"
             )
-        out: dict = {}
-        for mono, coeff in self._terms.items():
-            e = mono[index]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[index] = e - 1
-            out[tuple(new)] = coeff * e
-        return Poly._raw(self.num_vars, out)
+        shift = 8 * (self.num_vars - 1 - index)
+        return Poly._raw(
+            self.num_vars, _derivative(self._a, shift), _derivative(self._b, shift), self._den
+        )
 
     def gradient(self) -> list["Poly"]:
         return [self.differentiate(i) for i in range(self.num_vars)]
 
     def laplacian(self) -> "Poly":
         """Sum of the pure second partials, computed exactly."""
-        total = Poly(self.num_vars)
-        for i in range(self.num_vars):
-            total = total + self.differentiate(i).differentiate(i)
-        return total
+        n = self.num_vars
+        twos = [2 << 8 * (n - 1 - i) for i in range(n)]
+
+        def lap(nums: dict) -> dict:
+            out: dict = {}
+            get = out.get
+            for k, v in nums.items():
+                for i, e in enumerate(k.to_bytes(n, "big")):
+                    if e > 1:
+                        key = k - twos[i]
+                        out[key] = get(key, 0) + v * e * (e - 1)
+            return _nonzero(out)
+
+        return Poly._raw(n, lap(self._a), lap(self._b), self._den)
 
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
@@ -362,18 +493,41 @@ class Poly:
         Raises PreconditionError listing the offending monomials when the
         input is not homogeneous of the stated degree.
         """
-        bad = [m for m in self._terms if sum(m) != degree]
+        n = self.num_vars
+        bad = [_unpack(k, n) for k in self._keys() if _key_degree(k, n) != degree]
         if bad:
             raise PreconditionError(
                 f"polynomial is not homogeneous of degree {degree}; "
                 f"offending monomials: {sorted(bad)[:8]}"
             )
-        acc = Poly(self.num_vars)
-        for i in range(self.num_vars):
-            acc = acc + Poly.variable(self.num_vars, i) * self.differentiate(i)
-        return (acc - self.scale(degree)).is_zero()
+
+        # sum_i x_i d/dx_i multiplies the term c x^e by e_1 + ... + e_n
+        def euler(nums: dict) -> dict:
+            return _nonzero({k: v * _key_degree(k, n) for k, v in nums.items()})
+
+        return Poly._raw(n, euler(self._a), euler(self._b), self._den) == self.scale(degree)
 
     # -- evaluation ------------------------------------------------------------
+
+    def _numerator_values(self, values: Sequence) -> tuple:
+        """(sum of A_e x^e, sum of B_e x^e) at ``values``, powers cached per variable."""
+        n = self.num_vars
+        powers: list[dict] = [{} for _ in range(n)]
+
+        def total(nums: dict):
+            acc = 0
+            for k, v in nums.items():
+                term = v
+                for i, e in enumerate(k.to_bytes(n, "big")):
+                    if e:
+                        cache = powers[i]
+                        if e not in cache:
+                            cache[e] = values[i] ** e
+                        term = term * cache[e]
+                acc = acc + term
+            return acc
+
+        return total(self._a), total(self._b)
 
     def evaluate(self, point: Sequence) -> ScalarQ3 | float:
         """Evaluate at a point, exactly or in floating point.
@@ -388,103 +542,95 @@ class Poly:
             )
         if any(isinstance(v, float) for v in point):
             return self.evaluate_float([float(v) for v in point])
-        values = _coerce_point_exact(point)
-        total = ScalarQ3(0)
-        powers: list[dict[int, ScalarQ3]] = [{0: ONE} for _ in range(self.num_vars)]
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = values[i] ** e
-                term = term * cache[e]
-            total = total + term
-        return total
+        a, b = self._numerator_values(_coerce_point_exact(point))
+        return (SQRT3 * b + a) / self._den
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         if len(point) != self.num_vars:
             raise StructureError(
                 f"point has {len(point)} entries, expected {self.num_vars}"
             )
-        total = 0.0
-        powers: list[dict[int, float]] = [{0: 1.0} for _ in range(self.num_vars)]
-        for mono, coeff in self._terms.items():
-            term = float(coeff)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = point[i] ** e
-                term *= cache[e]
-            total += term
-        return total
+        a, b = self._numerator_values(point)
+        return (a + _SQRT3 * b) / self._den
 
     # -- comparison / hashing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.num_vars == other.num_vars and self._terms == other._terms
+        return (
+            self.num_vars == other.num_vars
+            and self._den == other._den
+            and self._a == other._a
+            and self._b == other._b
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num_vars, tuple(sorted(self._terms.items()))))
+            h = hash(
+                (self.num_vars, self._den, frozenset(self._a.items()), frozenset(self._b.items()))
+            )
             object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return f"Poly({self.num_vars}, 0)"
         parts = []
-        for mono, coeff in sorted(self._terms.items())[:6]:
+        for mono, coeff in sorted(self.items())[:6]:
             vars_part = "*".join(
                 f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e
             )
             parts.append(f"({coeff}){'*' + vars_part if vars_part else ''}")
-        tail = " + ..." if len(self._terms) > 6 else ""
+        tail = " + ..." if self.num_terms() > 6 else ""
         return f"Poly({self.num_vars}, {' + '.join(parts)}{tail})"
 
     # -- serialization ------------------------------------------------------------
 
     def dumps(self) -> str:
         """One term per line: a_num/a_den b_num/b_den e1 ... en (lex order)."""
+        n, a, b, den = self.num_vars, self._a, self._b, self._den
         lines = []
-        for mono in sorted(self._terms):
-            c = self._terms[mono]
+        for k in sorted(self._keys()):
+            ca, cb = Fraction(a.get(k, 0), den), Fraction(b.get(k, 0), den)
             lines.append(
-                f"{c.a.numerator}/{c.a.denominator} "
-                f"{c.b.numerator}/{c.b.denominator} "
-                + " ".join(str(e) for e in mono)
+                f"{ca.numerator}/{ca.denominator} {cb.numerator}/{cb.denominator} "
+                + " ".join(map(str, k.to_bytes(n, "big")))
             )
         return "\n".join(lines)
 
     @classmethod
     def loads(cls, text: str, num_vars: int | None = None) -> "Poly":
+        """Parse ``dumps`` text; malformed or repeated lines raise StructureError."""
         terms: dict = {}
         seen_vars = num_vars
         for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
             tokens = line.split()
+            if not tokens:
+                continue
             if len(tokens) < 3:
                 raise StructureError(f"malformed term line: {line!r}")
-            a_num, a_den = tokens[0].split("/")
-            b_num, b_den = tokens[1].split("/")
-            mono = tuple(int(t) for t in tokens[2:])
+            try:
+                coeff = ScalarQ3(_parse_fraction(tokens[0]), _parse_fraction(tokens[1]))
+                mono = tuple(int(t) for t in tokens[2:])
+            except (ValueError, ZeroDivisionError) as err:
+                raise StructureError(f"malformed term line: {line!r}") from err
             if seen_vars is None:
                 seen_vars = len(mono)
             elif len(mono) != seen_vars:
                 raise StructureError("inconsistent exponent vector lengths")
-            coeff = ScalarQ3(Fraction(int(a_num), int(a_den)), Fraction(int(b_num), int(b_den)))
+            if mono in terms:
+                raise StructureError(f"repeated exponent vector {mono}")
             terms[mono] = coeff
         if seen_vars is None:
             raise StructureError("cannot infer variable count from empty text")
         return cls(seen_vars, terms)
+
+
+def _parse_fraction(token: str) -> Fraction:
+    num, den = token.split("/")  # ValueError unless exactly one slash
+    return Fraction(int(num), int(den))
 
 
 def sum_of_squares(num_vars: int) -> Poly:

@@ -181,8 +181,9 @@ def test_runtime_failure_exits_three(capsys):
         ("focal", "--family", "product", "--n", "7", "--k", "4", "--index", "0", "--seed", "-1"),
         ("parallel", "--family", "product", "--n", "7", "--k", "4", "--travel", "nan"),
         ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--cluster-tol", "-1"),
+        ("catalog", "inhom", "--m1", "3", "--m2", "4", "--m", "-5"),
     ],
-    ids=["spectrum-seed", "parallel-seed", "focal-seed", "travel", "cluster-tol"],
+    ids=["spectrum-seed", "parallel-seed", "focal-seed", "travel", "cluster-tol", "inhom-m"],
 )
 def test_out_of_range_numbers_are_parser_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -41,6 +41,14 @@ def test_fkm_22_gradient_and_laplace_values():
     assert report.inferred_m_diff == -1
 
 
+def test_fkm_1_32_on_r64_exact():
+    # 64 variables: |grad F|^2 = 16 r^6 has 45760 terms, one byte per exponent
+    report = verify_cm(fkm_family(build_system(build_generators(1, 32))))
+    assert report.ok
+    assert report.grad_residual.is_zero()
+    assert report.laplace_residual.is_zero()
+
+
 def test_product_family_m_diff():
     report = verify_cm(product_family(7, 4))
     assert report.ok

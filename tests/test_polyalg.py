@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isopar import cm_verifier, families
+from isopar.clifford import build_generators, build_system
+from isopar.cm_verifier import verify_cm
+from isopar.division_algebras import AlgebraTag
 from isopar.errors import PreconditionError, StructureError
+from isopar.families import (
+    IsoparametricFamily,
+    cartan_cubic,
+    fkm_family,
+    linear_family,
+    nomizu_family,
+    nurowski_det_cubic,
+    product_family,
+)
 from isopar.polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
+from reference_poly import Poly as RefPoly
+from reference_poly import sum_of_squares as ref_sum_of_squares
 
 # ---------------------------------------------------------------------------
 # ScalarQ3
@@ -269,3 +284,176 @@ def test_dumps_is_lexicographically_sorted():
     lines = p.dumps().splitlines()
     monos = [tuple(int(t) for t in line.split()[2:]) for line in lines]
     assert monos == sorted(monos)
+
+
+# ---------------------------------------------------------------------------
+# Packed kernel against the reference kernel (tuple keys, ScalarQ3 values)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two term maps on 1-6 variables, exponents 0-4, plus a scalar and a point."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    monos = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    terms = st.dictionaries(monos, scalars, max_size=6)
+    return (
+        n,
+        draw(terms),
+        draw(terms),
+        draw(scalars),
+        draw(st.integers(min_value=0, max_value=n - 1)),
+        draw(st.lists(scalars, min_size=n, max_size=n)),
+    )
+
+
+def _assert_same(new, ref):
+    assert new.dumps() == ref.dumps()
+    assert new.num_terms() == ref.num_terms()
+    assert dict(new.items()) == dict(ref.items())
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_packed_kernel_matches_reference(case):
+    n, tp, tq, c, i, point = case
+    p, q = Poly(n, tp), Poly(n, tq)
+    rp, rq = RefPoly(n, tp), RefPoly(n, tq)
+    _assert_same(p, rp)
+    _assert_same(p + q, rp + rq)
+    _assert_same(p - q, rp - rq)
+    _assert_same(p * q, rp * rq)
+    _assert_same(p * p, rp * rp)
+    _assert_same(p.scale(c), rp.scale(c))
+    _assert_same(p.differentiate(i), rp.differentiate(i))
+    _assert_same(p.laplacian(), rp.laplacian())
+    assert p.evaluate(point) == rp.evaluate(point)
+    assert (p == q) == (rp == rq)
+    assert Poly(n, dict(p.items())) == p
+    assert hash(Poly(n, dict(p.items()))) == hash(p)
+    assert p + q - q == p and hash(p + q - q) == hash(p)
+    for d in {sum(m) for m in tp}:
+        part = {m: v for m, v in tp.items() if sum(m) == d}
+        assert Poly(n, part).euler_check(d) == RefPoly(n, part).euler_check(d)
+    degree = p.degree()
+    if degree is not None and p.homogeneous_degree() is None:
+        with pytest.raises(PreconditionError) as new_err:
+            p.euler_check(degree)
+        with pytest.raises(PreconditionError) as ref_err:
+            rp.euler_check(degree)
+        assert str(new_err.value) == str(ref_err.value)
+
+
+def _nurowski_det_family():
+    return IsoparametricFamily(
+        name="nurowski-det",
+        p=3,
+        ambient_dim=5,
+        F=nurowski_det_cubic(),
+        expected_multiplicities=(1, 1),
+        provenance="half the determinant of Nurowski's 3x3 matrix",
+    )
+
+
+KERNEL_FAMILIES = {
+    "linear(7)": lambda: linear_family(7),
+    "product(7,4)": lambda: product_family(7, 4),
+    "cartan-R": lambda: cartan_cubic(AlgebraTag.R),
+    "cartan-C": lambda: cartan_cubic(AlgebraTag.C),
+    "cartan-H": lambda: cartan_cubic(AlgebraTag.H),
+    "cartan-O": lambda: cartan_cubic(AlgebraTag.O),
+    "fkm(2,2)": lambda: fkm_family(build_system(build_generators(2, 2))),
+    "fkm(5,1)": lambda: fkm_family(build_system(build_generators(5, 1))),
+    "nomizu(3)": lambda: nomizu_family(3),
+    "nurowski-det": _nurowski_det_family,
+}
+
+
+def _reference_kernel(monkeypatch):
+    """Make the family factories and verify_cm build on the reference Poly."""
+    for module in (families, cm_verifier):
+        monkeypatch.setattr(module, "Poly", RefPoly)
+        monkeypatch.setattr(module, "sum_of_squares", ref_sum_of_squares)
+
+
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_family_and_verdicts_match_reference_kernel(name, monkeypatch):
+    build = KERNEL_FAMILIES[name]
+    fam = build()
+    report = verify_cm(fam)
+    with monkeypatch.context() as patch:
+        _reference_kernel(patch)
+        ref_fam = build()
+        ref_report = verify_cm(ref_fam)
+    assert isinstance(ref_fam.F, RefPoly)
+    assert fam.F.dumps() == ref_fam.F.dumps()
+    for field in ("euler_ok", "grad_identity_ok", "laplace_identity_ok", "inferred_c", "inferred_m_diff"):
+        assert getattr(report, field) == getattr(ref_report, field)
+    assert report.grad_residual.num_terms() == ref_report.grad_residual.num_terms()
+    assert report.laplace_residual.num_terms() == ref_report.laplace_residual.num_terms()
+
+
+@pytest.mark.parametrize("name", ["product(7,4)", "cartan-R", "nomizu(3)"])
+def test_gradient_square_matches_sympy(name):
+    sympy = pytest.importorskip("sympy")
+    F = KERNEL_FAMILIES[name]().F
+    xs = sympy.symbols(f"x0:{F.num_vars}")
+
+    def to_sympy(poly):
+        return sum(
+            (sympy.Rational(c.a.numerator, c.a.denominator)
+             + sympy.Rational(c.b.numerator, c.b.denominator) * sympy.sqrt(3))
+            * sympy.Mul(*[x**e for x, e in zip(xs, mono)])
+            for mono, c in poly.items()
+        )
+
+    grad_sq = Poly.zero(F.num_vars)
+    for dF in F.gradient():
+        grad_sq = grad_sq + dF * dF
+    F_sym = to_sympy(F)
+    expected = sympy.expand(sum(sympy.diff(F_sym, x) ** 2 for x in xs))
+    assert sympy.expand(to_sympy(grad_sq) - expected) == 0
+
+
+# ---------------------------------------------------------------------------
+# Exponent fields and malformed text
+# ---------------------------------------------------------------------------
+
+
+def test_exponent_above_field_is_refused():
+    with pytest.raises(StructureError):
+        Poly(2, {(0, 256): 1})
+    with pytest.raises(StructureError):
+        Poly.loads("1/1 0/1 0 256")
+    top = Poly(2, {(0, 255): 1})
+    assert top.coefficient((0, 255)) == 1 and top.coefficient((1, 0)) == 0
+    assert Poly.loads(top.dumps()) == top
+
+
+def test_product_that_could_carry_is_refused():
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    # variable 1 sits in the low field: a carry out of it would corrupt x0
+    with pytest.raises(StructureError):
+        x1**200 * x1**100
+    with pytest.raises(StructureError):
+        x0**200 * x0**100
+    with pytest.raises(StructureError):
+        x1**256
+    assert (x1**100 * x1**155).dumps() == "1/1 0/1 0 255"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/0 0/1 1 2",
+        "1 0/1 1 2",
+        "x 0/1 1",
+        "1/2 0/1 1 2\n1/3 0/1 1 2",
+        "1/2 0/1 1 y",
+        "1/2/3 0/1 1 2",
+    ],
+    ids=["zero-denominator", "no-slash", "not-a-number", "repeated-vector", "bad-exponent", "two-slashes"],
+)
+def test_loads_rejects_malformed_text(text):
+    with pytest.raises(StructureError):
+        Poly.loads(text)
