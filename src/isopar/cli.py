@@ -17,9 +17,11 @@ identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed, 2 usage error (including a negative --seed, a
 non-finite --travel, a --cluster-tol that is not a finite number > 0, a
-catalog inhom --m below 1, and an --output path that cannot be written), 3 a numerical procedure failed
-at run time (sampling did not converge, ambiguous clustering, a focal
-travel angle, a construction that failed its own relations).
+catalog inhom --m below 1, spectrum, parallel or focal on a family in S^1,
+whose level sets are points, and an --output path that cannot be written),
+3 a numerical procedure failed at run time (sampling did not converge,
+ambiguous clustering, a focal travel angle, a construction that failed its
+own relations).
 
 The --family choices and the arguments each family needs come from one
 registry, FAMILIES.

@@ -61,6 +61,16 @@ class CMReport(Report):
         return out
 
 
+def gradient_residual(F: Poly, p: int) -> Poly:
+    """|grad F|^2 - p^2 r^(2p-2), exactly; empty iff the gradient identity holds."""
+    nv = F.num_vars
+    grad_sq = Poly.zero(nv)
+    for i in range(nv):
+        dF = F.differentiate(i)
+        grad_sq = grad_sq + dF * dF
+    return grad_sq - (sum_of_squares(nv) ** (p - 1)).scale(p * p)
+
+
 def verify_cm(fam: IsoparametricFamily) -> CMReport:
     """Check both Cartan-Muenzner identities for fam.F, exactly."""
     F = fam.F
@@ -70,20 +80,14 @@ def verify_cm(fam: IsoparametricFamily) -> CMReport:
             f"{fam.name}: F is not homogeneous of degree {p}"
         )
     nv = F.num_vars
-    r2 = sum_of_squares(nv)
-
-    grad_sq = Poly.zero(nv)
-    for i in range(nv):
-        dF = F.differentiate(i)
-        grad_sq = grad_sq + dF * dF
-    grad_residual = grad_sq - (r2 ** (p - 1)).scale(p * p)
+    grad_residual = gradient_residual(F, p)
 
     lap = F.laplacian()
     if p % 2 == 1:
         c = ScalarQ3(0)
         laplace_residual = lap
     else:
-        target = r2 ** ((p - 2) // 2)
+        target = sum_of_squares(nv) ** ((p - 2) // 2)
         # match the pure x_1^(p-2) monomial, whose coefficient in r^(p-2) is 1
         probe = tuple([p - 2] + [0] * (nv - 1))
         c = lap.coefficient(probe)

@@ -130,22 +130,6 @@ class AlgElem:
         return all(c == 0 for c in self.coeffs)
 
 
-def mul(a: AlgElem, b: AlgElem) -> AlgElem:
-    return a * b
-
-
-def conj(a: AlgElem) -> AlgElem:
-    return a.conj()
-
-
-def re(a: AlgElem) -> Fraction:
-    return a.re
-
-
-def norm2(a: AlgElem) -> Fraction:
-    return a.norm2()
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     """e_i e_j = sum_k c[i][j][k] e_k with entries in {-1, 0, 1}."""

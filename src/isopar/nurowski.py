@@ -9,12 +9,25 @@ so that Y_ijk x_i x_j x_k = F.  The three conditions are
   (3) Y_ijk Y_lmi + Y_lji Y_kmi + Y_kli Y_jmi
         = g_jk g_lm + g_lj g_km + g_kl g_jm   (sum over i)
 
-Because Y is totally symmetric, both sides of (3) are invariant under all
-permutations of (j, k, l, m): each side is the sum over the three ways of
-splitting {j,k,l,m} into two unordered pairs.  The exhaustive check
-therefore only enumerates j <= k <= l <= m, which keeps the 26-variable
-case around 2.4e4 tuples; a full unreduced sweep is available for cross
-checking in low dimension.
+They are Cartan's isoparametric equations for p = 3 (Nurowski,
+"Distinguished dimensions for special Riemannian geometries", J. Geom.
+Phys. 58, 2008), and ``check_conditions`` decides them as such:
+
+  (2) holds exactly when lap F = 0, because lap F = 6 sum_i (sum_j Y_ijj) x_i;
+      the failing i are the variables with a nonzero coefficient in lap F.
+  (3) holds exactly when |grad F|^2 = 9 r^4.  Each side of (3) is a totally
+      symmetric 4-tensor (a sum over the three ways of splitting {j,k,l,m}
+      into two pairs).  Contracted with x_j x_k x_l x_m, the left side
+      becomes 3 sum_i (Y_iab x_a x_b)^2 = |grad F|^2 / 3 and the right side
+      3 r^4.  By polarization a symmetric 4-tensor over Q(sqrt 3) is fixed
+      by its quartic form: the coefficient of x_j x_k x_l x_m, j <= k <= l
+      <= m, is the component (j, k, l, m) times a nonzero multinomial count.
+      So the monomials of the residual |grad F|^2 - 9 r^4 are exactly the
+      failing sorted tuples, and the C(n+3, 4) degree-4 monomials are the
+      independent components checked.
+
+The residual is ``cm_verifier.gradient_residual(F, 3)``, the polynomial
+``verify_cm`` tests for every cubic.
 
 Solutions exist exactly in ambient dimensions 3k + 2 for k = 1, 2, 4, 8,
 realized by the four Cartan cubics; dimension_catalog records the isotropy
@@ -23,15 +36,18 @@ groups and compact models.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cm_verifier import gradient_residual
 from .division_algebras import AlgebraTag
 from .errors import PreconditionError
 from .families import cartan_cubic
 from .polyalg import Poly, ScalarQ3
 from .report import Report, report_key
+
+MAX_FAILURES = 8  # condition (3) tuples a report lists
 
 
 @dataclass(frozen=True)
@@ -131,78 +147,30 @@ class ConditionReport(Report):
         return out
 
 
-def _pair_vectors(tensor: UpsilonTensor) -> dict:
-    """pair (a, b) with a <= b  ->  {i: Y_iab} over nonzero entries."""
-    vecs: dict = {}
-    for (i, j, k), val in tensor.entries.items():
-        if val.is_zero():
-            continue
-        for pair, rem in (((j, k), i), ((i, k), j), ((i, j), k)):
-            vecs.setdefault(pair, {})[rem] = val
-    return vecs
+def check_conditions(tensor: UpsilonTensor) -> ConditionReport:
+    """Verify conditions (1)-(3) in exact arithmetic on F = Y_ijk x_i x_j x_k.
 
-
-def _pairing_sum(vecs: dict, a: int, b: int, c: int, d: int) -> ScalarQ3:
-    va = vecs.get((min(a, b), max(a, b)))
-    vb = vecs.get((min(c, d), max(c, d)))
-    if not va or not vb:
-        return ScalarQ3(0)
-    if len(va) > len(vb):
-        va, vb = vb, va
-    total = ScalarQ3(0)
-    for i, x in va.items():
-        y = vb.get(i)
-        if y is not None:
-            total = total + x * y
-    return total
-
-
-def check_conditions(
-    tensor: UpsilonTensor, max_failures: int = 8, exhaustive: bool = False
-) -> ConditionReport:
-    """Verify conditions (1)-(3) in exact arithmetic.
-
-    ``exhaustive`` sweeps all n^4 tuples of condition (3) instead of the
-    symmetry-reduced j <= k <= l <= m enumeration (used as a cross check in
-    low dimension).
+    Condition (2) is read off lap F = 6 sum_i (sum_j Y_ijj) x_i and
+    condition (3) off the residual |grad F|^2 - 9 r^4 (see the module
+    docstring).
     """
-    n = tensor.n
-    trace_failures = []
-    for i in range(n):
-        total = ScalarQ3(0)
-        for j in range(n):
-            total = total + tensor.value(i, j, j)
-        if not total.is_zero():
-            trace_failures.append(i)
-
-    vecs = _pair_vectors(tensor)
-    quad_failures: list = []
-    checked = 0
-    if exhaustive:
-        tuples = itertools.product(range(n), repeat=4)
-    else:
-        tuples = itertools.combinations_with_replacement(range(n), 4)
-    for j, k, l, m in tuples:
-        checked += 1
-        lhs = (
-            _pairing_sum(vecs, j, k, l, m)
-            + _pairing_sum(vecs, l, j, k, m)
-            + _pairing_sum(vecs, k, l, j, m)
-        )
-        rhs = int(j == k) * int(l == m) + int(l == j) * int(k == m) + int(
-            k == l
-        ) * int(j == m)
-        if lhs != ScalarQ3(rhs):
-            if len(quad_failures) < max_failures:
-                quad_failures.append((j, k, l, m))
+    F = tensor.contract()
+    trace_failures = sorted(mono.index(1) for mono, _ in F.laplacian().items())
+    residual = gradient_residual(F, 3)
+    # each degree-4 monomial x_j x_k x_l x_m, j <= k <= l <= m, decides one
+    # independent component (j, k, l, m) of condition (3): the residual's
+    # monomials are the failing ones, and all C(n+3, 4) are checked
+    failing = sorted(
+        tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono, _ in residual.items()
+    )
     return ConditionReport(
-        n=n,
+        n=tensor.n,
         symmetric_ok=True,  # symmetric storage cannot represent an asymmetry
         trace_free_ok=not trace_failures,
         trace_failures=tuple(trace_failures),
-        quadratic_ok=not quad_failures,
-        quadratic_tuples_checked=checked,
-        quadratic_failures=tuple(quad_failures),
+        quadratic_ok=residual.is_zero(),
+        quadratic_tuples_checked=math.comb(tensor.n + 3, 4),
+        quadratic_failures=tuple(failing[:MAX_FAILURES]),
     )
 
 

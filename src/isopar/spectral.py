@@ -213,8 +213,11 @@ def sample_level(
 
     The level must lie strictly inside (-1, 1); levels beyond +-0.95 are
     refused unless allow_extreme is set, to stay away from the focal
-    submanifolds where the gradient on the sphere degenerates.
+    submanifolds where the gradient on the sphere degenerates.  A family
+    on S^1 is refused: its level sets are points, with no shape operator.
     """
+    if fam.ambient_dim < 3:
+        raise DomainError(f"{fam.name}: level sets in S^1 are points, with no shape operator")
     if not -1.0 < t < 1.0:
         raise DomainError(f"level t must lie in (-1, 1), got {t}")
     if abs(t) > LEVEL_GUARD and not allow_extreme:

@@ -1,0 +1,90 @@
+"""Reference Nurowski sweep: condition (3) tuple by tuple in ScalarQ3.
+
+This is the ``check_conditions`` that ``isopar.nurowski`` used before it
+decided the conditions through lap F and |grad F|^2 - 9 r^4, kept
+unchanged as the oracle the tests compare against: the symmetry-reduced
+j <= k <= l <= m sweep over C(n+3, 4) tuples and its n^4 variant.  It is
+not part of the package: nothing under ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from isopar.nurowski import ConditionReport, UpsilonTensor
+from isopar.polyalg import ScalarQ3
+
+
+def _pair_vectors(tensor: UpsilonTensor) -> dict:
+    """pair (a, b) with a <= b  ->  {i: Y_iab} over nonzero entries."""
+    vecs: dict = {}
+    for (i, j, k), val in tensor.entries.items():
+        if val.is_zero():
+            continue
+        for pair, rem in (((j, k), i), ((i, k), j), ((i, j), k)):
+            vecs.setdefault(pair, {})[rem] = val
+    return vecs
+
+
+def _pairing_sum(vecs: dict, a: int, b: int, c: int, d: int) -> ScalarQ3:
+    va = vecs.get((min(a, b), max(a, b)))
+    vb = vecs.get((min(c, d), max(c, d)))
+    if not va or not vb:
+        return ScalarQ3(0)
+    if len(va) > len(vb):
+        va, vb = vb, va
+    total = ScalarQ3(0)
+    for i, x in va.items():
+        y = vb.get(i)
+        if y is not None:
+            total = total + x * y
+    return total
+
+
+def check_conditions(
+    tensor: UpsilonTensor, max_failures: int = 8, exhaustive: bool = False
+) -> ConditionReport:
+    """Verify conditions (1)-(3) in exact arithmetic.
+
+    ``exhaustive`` sweeps all n^4 tuples of condition (3) instead of the
+    symmetry-reduced j <= k <= l <= m enumeration (used as a cross check in
+    low dimension).
+    """
+    n = tensor.n
+    trace_failures = []
+    for i in range(n):
+        total = ScalarQ3(0)
+        for j in range(n):
+            total = total + tensor.value(i, j, j)
+        if not total.is_zero():
+            trace_failures.append(i)
+
+    vecs = _pair_vectors(tensor)
+    quad_failures: list = []
+    checked = 0
+    if exhaustive:
+        tuples = itertools.product(range(n), repeat=4)
+    else:
+        tuples = itertools.combinations_with_replacement(range(n), 4)
+    for j, k, l, m in tuples:
+        checked += 1
+        lhs = (
+            _pairing_sum(vecs, j, k, l, m)
+            + _pairing_sum(vecs, l, j, k, m)
+            + _pairing_sum(vecs, k, l, j, m)
+        )
+        rhs = int(j == k) * int(l == m) + int(l == j) * int(k == m) + int(
+            k == l
+        ) * int(j == m)
+        if lhs != ScalarQ3(rhs):
+            if len(quad_failures) < max_failures:
+                quad_failures.append((j, k, l, m))
+    return ConditionReport(
+        n=n,
+        symmetric_ok=True,  # symmetric storage cannot represent an asymmetry
+        trace_free_ok=not trace_failures,
+        trace_failures=tuple(trace_failures),
+        quadratic_ok=not quad_failures,
+        quadratic_tuples_checked=checked,
+        quadratic_failures=tuple(quad_failures),
+    )

@@ -205,7 +205,29 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
-# sha256 of the full stdout, recorded before the reports shared one renderer
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--family", "linear", "--n", "1"),
+        ("parallel", "--family", "linear", "--n", "1", "--travel", "0.3"),
+        ("focal", "--family", "linear", "--n", "1", "--index", "0"),
+        ("spectrum", "--family", "product", "--n", "1", "--k", "1"),
+        ("parallel", "--family", "product", "--n", "1", "--k", "1", "--travel", "0.3"),
+        ("focal", "--family", "product", "--n", "1", "--k", "1", "--index", "0"),
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_level_sets_in_circle_are_usage_errors(capsys, argv):
+    # level sets in S^1 are points, so there is no shape operator to measure
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "S^1" in err
+
+
+# sha256 of the full stdout, recorded before the reports shared one renderer;
+# the nurowski --dim 8, 14 and 26 digests before the conditions were decided
+# through lap F and |grad F|^2 - 9 r^4
 PINNED_STDOUT = [
     (("catalog", "rank2"), "206c753ab288a9a373f3bddd46a505932b8f6e1e358d2358097f51def9f65500"),
     (("catalog", "fkm-table"), "7232ac8cf3f639a8196b2929d8194aa6385bf34b7ef81952f5c0bc13f2b5701e"),
@@ -224,6 +246,18 @@ PINNED_STDOUT = [
     (
         ("nurowski", "check", "--dim", "5"),
         "5c6a2f1c583e733ea24d4d542f66c106922bdca726136dd92d9bfd2e28eac7e8",
+    ),
+    (
+        ("nurowski", "check", "--dim", "8"),
+        "b2a20556599207cff3b8a6dc8d85168bea5187cde3ccb1254235817060cdfcc7",
+    ),
+    (
+        ("nurowski", "check", "--dim", "14"),
+        "4b33465821c7a289cb0e779ef5a9e6edaaa27d9d34f3840ce2c4331c7c928f20",
+    ),
+    (
+        ("nurowski", "check", "--dim", "26"),
+        "875f990be765c8246f2d3d1cfdf58d479321b6dcecf265ac67dee22a9017fd5f",
     ),
     (
         ("verify", "cm", "--family", "fkm", "--m", "2", "--k", "2"),

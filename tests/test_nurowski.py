@@ -3,17 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import PreconditionError
 from isopar.families import cartan_cubic, nurowski_expanded_cubic
 from isopar.nurowski import (
+    UpsilonTensor,
     check_conditions,
     dimension_catalog,
     extract_upsilon,
     upsilon_for_dimension,
 )
-from isopar.polyalg import Poly, ScalarQ3
+from isopar.polyalg import SQRT3, Poly, ScalarQ3
+from reference_nurowski import check_conditions as ref_check_conditions
 
 
 def test_upsilon_entries_of_expanded_cubic():
@@ -75,11 +79,46 @@ def test_conditions_dim8():
 
 def test_reduced_enumeration_matches_exhaustive_dim5():
     U = upsilon_for_dimension(5)
-    reduced = check_conditions(U)
-    full = check_conditions(U, exhaustive=True)
+    reduced = ref_check_conditions(U)
+    full = ref_check_conditions(U, exhaustive=True)
     assert reduced.ok == full.ok
     assert full.quadratic_tuples_checked == 5**4
     assert reduced.quadratic_tuples_checked == 70  # C(8, 4)
+
+
+@pytest.mark.parametrize("factor", [1, 2, SQRT3], ids=["Y", "2Y", "sqrt3Y"])
+@pytest.mark.parametrize("n", [5, 8, 14, 26])
+def test_conditions_match_reference_sweep(n, factor):
+    U = upsilon_for_dimension(n).scale(factor)
+    assert check_conditions(U).to_dict() == ref_check_conditions(U).to_dict()
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def perturbed_tensors(draw):
+    """Upsilon (n = 5, 8) or the zero tensor (n = 3, 4) with a few entries moved."""
+    n = draw(st.sampled_from([3, 4, 5, 8]))
+    if n in (5, 8):
+        entries = dict(upsilon_for_dimension(n).entries)
+    else:
+        entries = {
+            (i, j, k): ScalarQ3(0)
+            for i in range(n) for j in range(i, n) for k in range(j, n)
+        }
+    keys = sorted(entries)
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from(keys))
+        delta = ScalarQ3(draw(small_fractions), draw(small_fractions))
+        entries[key] = entries[key] + delta
+    return UpsilonTensor(n, entries)
+
+
+@given(perturbed_tensors())
+@settings(max_examples=60, deadline=None)
+def test_perturbed_tensors_match_reference_sweep(U):
+    assert check_conditions(U).to_dict() == ref_check_conditions(U).to_dict()
 
 
 def test_spot_tuple_5555():
