@@ -151,6 +151,10 @@ def rank2_self_check() -> Rank2CheckResult:
 # ---------------------------------------------------------------------------
 
 
+FKM_MAX_K = 5  # rows of the generated table, as in the published one
+FKM_MAX_M = 9  # columns
+
+
 @dataclass(frozen=True)
 class FKMEntry(Report):
     m: int
@@ -159,11 +163,11 @@ class FKMEntry(Report):
     pair: tuple | None  # (m1, m2), None when m2 <= 0 (printed as a dash)
 
 
-def fkm_table(max_k: int = 5, max_m: int = 9) -> tuple[FKMEntry, ...]:
-    """(m1, m2) = (m, k delta(m) - m - 1) for k <= max_k, m <= max_m."""
+def fkm_table() -> tuple[FKMEntry, ...]:
+    """(m1, m2) = (m, k delta(m) - m - 1) for k <= FKM_MAX_K, m <= FKM_MAX_M."""
     entries = []
-    for k in range(1, max_k + 1):
-        for m in range(1, max_m + 1):
+    for k in range(1, FKM_MAX_K + 1):
+        for m in range(1, FKM_MAX_M + 1):
             d = delta(m)
             m2 = k * d - m - 1
             pair = (m, m2) if m2 >= 1 else None
@@ -206,7 +210,7 @@ def printed_fkm_check() -> PrintedTableCheck:
     The single known discrepancy is the printed (4, 17) at (m=4, k=5),
     where the formula gives (4, 15); it is reported, not patched.
     """
-    formula = {(e.k, e.m): e.pair for e in fkm_table(max_k=5, max_m=9)}
+    formula = {(e.k, e.m): e.pair for e in fkm_table()}
     matches = 0
     mismatches = []
     for key, printed in _PRINTED_FKM.items():

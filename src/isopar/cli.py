@@ -59,7 +59,7 @@ from .families import (
     nomizu_family,
     product_family,
 )
-from .nurowski import check_conditions, upsilon_for_dimension
+from .nurowski import check_conditions, dimension_catalog, upsilon_for_dimension
 
 SCHEMA_VERSION = 1
 USAGE_ERROR = 2
@@ -298,7 +298,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_nur = sub.add_parser("nurowski", help="symmetric 3-tensor conditions")
     nur_sub = p_nur.add_subparsers(dest="nurowski_command", required=True)
     p_check = nur_sub.add_parser("check", help="verify conditions (1)-(3)")
-    p_check.add_argument("--dim", type=int, required=True, choices=(5, 8, 14, 26))
+    p_check.add_argument(
+        "--dim", type=int, required=True, choices=tuple(e.n for e in dimension_catalog())
+    )
     p_check.add_argument("--output", "-o")
     p_check.set_defaults(func=cmd_nurowski_check)
 

@@ -139,16 +139,13 @@ class StructureConstants:
 
 
 def structure_constants(tag: AlgebraTag) -> StructureConstants:
+    """The table of e_i e_j, multiplied on integer unit vectors."""
     d = tag.dim
-    table = []
-    for i in range(d):
-        row = []
-        ei = AlgElem.basis(tag, i)
-        for j in range(d):
-            prod = ei * AlgElem.basis(tag, j)
-            row.append(tuple(int(c) for c in prod.coeffs))
-        table.append(tuple(row))
-    return StructureConstants(tag, tuple(table))
+    units = [[int(a == i) for a in range(d)] for i in range(d)]
+    table = tuple(
+        tuple(tuple(cayley_dickson_mul(ei, ej)) for ej in units) for ei in units
+    )
+    return StructureConstants(tag, table)
 
 
 def left_multiplication_matrices(tag: AlgebraTag) -> list[list[list[int]]]:

@@ -1,8 +1,10 @@
 """Nurowski's symmetric 3-tensor conditions, verified exactly.
 
-A totally symmetric 3-tensor Y on R^n (metric g = identity) is extracted
-from a homogeneous cubic F through Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k,
-so that Y_ijk x_i x_j x_k = F.  The three conditions are
+A totally symmetric 3-tensor Y on R^n (metric g = identity) and the
+homogeneous cubic F = Y_ijk x_i x_j x_k are one object, so the tensor is
+held as its cubic.  By polarization Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k:
+for i <= j <= k it is the coefficient of x_i x_j x_k in F divided by the
+number of orderings of (i, j, k), 1, 3 or 6.  The three conditions are
 
   (1) total symmetry                     (structural, by construction)
   (2) trace-free: sum_j Y_ijj = 0        for every i
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cm_verifier import gradient_residual
 from .division_algebras import AlgebraTag
@@ -50,73 +51,57 @@ from .report import Report, report_key
 MAX_FAILURES = 8  # condition (3) tuples a report lists
 
 
+def _orderings(i: int, j: int, k: int) -> int:
+    """Orderings of the free sum over (i, j, k) that hit one sorted triple: 1, 3 or 6."""
+    return {1: 1, 2: 3, 3: 6}[len({i, j, k})]
+
+
 @dataclass(frozen=True)
 class UpsilonTensor:
-    """Symmetric 3-tensor stored on sorted index triples i <= j <= k (0-based)."""
+    """Symmetric 3-tensor held as its cubic F = Y_ijk x_i x_j x_k (0-based).
 
-    n: int
-    entries: dict  # (i, j, k) sorted -> ScalarQ3, all C(n+2, 3) keys present
+    By polarization the two are one object: Y_ijk is the coefficient of
+    x_i x_j x_k in F divided by the 1, 3 or 6 orderings of (i, j, k).
+    """
+
+    cubic: Poly
 
     def __post_init__(self):
-        expected = self.n * (self.n + 1) * (self.n + 2) // 6
-        if len(self.entries) != expected:
-            raise PreconditionError(
-                f"symmetric storage needs {expected} entries, got {len(self.entries)}"
-            )
+        if not self.cubic.is_zero() and self.cubic.homogeneous_degree() != 3:
+            raise PreconditionError("an Upsilon tensor is held as a homogeneous cubic or zero")
+
+    @property
+    def n(self) -> int:
+        return self.cubic.num_vars
 
     def value(self, i: int, j: int, k: int) -> ScalarQ3:
-        return self.entries[tuple(sorted((i, j, k)))]
+        mono = [0] * self.n
+        for a in (i, j, k):
+            mono[a] += 1
+        return self.cubic.coefficient(mono) / _orderings(i, j, k)
+
+    @property
+    def entries(self) -> dict:
+        """(i, j, k) sorted -> Y_ijk, all C(n+2, 3) keys present."""
+        n = self.n
+        return {
+            (i, j, k): self.value(i, j, k)
+            for i in range(n) for j in range(i, n) for k in range(j, n)
+        }
 
     def scale(self, factor) -> "UpsilonTensor":
-        f = ScalarQ3.from_value(factor)
-        return UpsilonTensor(
-            self.n, {key: v * f for key, v in self.entries.items()}
-        )
+        return UpsilonTensor(self.cubic.scale(factor))
 
     def contract(self) -> Poly:
-        """Rebuild sum_{ijk} Y_ijk x_i x_j x_k as a polynomial.
-
-        A sorted triple with r distinct indices is hit by 6 / (repetition
-        factorials) orderings of the free sum: 1, 3 or 6.
-        """
-        terms: dict = {}
-        for (i, j, k), val in self.entries.items():
-            if val.is_zero():
-                continue
-            mono = [0] * self.n
-            mono[i] += 1
-            mono[j] += 1
-            mono[k] += 1
-            orderings = {1: 1, 2: 3, 3: 6}[len({i, j, k})]
-            terms[tuple(mono)] = val * orderings
-        return Poly(self.n, terms)
+        """sum_{ijk} Y_ijk x_i x_j x_k, the cubic itself."""
+        return self.cubic
 
 
 def extract_upsilon(F: Poly) -> UpsilonTensor:
-    """Y_ijk = (1/6) third partials of a homogeneous cubic, exactly.
-
-    The reconstruction identity contract(Y) == F is verified before
-    returning.
-    """
+    """The tensor Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k of a homogeneous cubic."""
     if F.homogeneous_degree() != 3:
         raise PreconditionError("upsilon extraction needs a homogeneous cubic")
-    n = F.num_vars
-    entries: dict = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                mono = [0] * n
-                mono[i] += 1
-                mono[j] += 1
-                mono[k] += 1
-                coeff = F.coefficient(tuple(mono))
-                distinct = len({i, j, k})
-                orderings = {1: 1, 2: 3, 3: 6}[distinct]
-                entries[(i, j, k)] = coeff * Fraction(1, orderings)
-    tensor = UpsilonTensor(n, entries)
-    if not (tensor.contract() - F).is_zero():
-        raise PreconditionError("upsilon reconstruction failed to reproduce the cubic")
-    return tensor
+    return UpsilonTensor(F)
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,7 @@ def check_conditions(tensor: UpsilonTensor) -> ConditionReport:
     condition (3) off the residual |grad F|^2 - 9 r^4 (see the module
     docstring).
     """
-    F = tensor.contract()
+    F = tensor.cubic
     trace_failures = sorted(mono.index(1) for mono, _ in F.laplacian().items())
     residual = gradient_residual(F, 3)
     # each degree-4 monomial x_j x_k x_l x_m, j <= k <= l <= m, decides one
@@ -207,12 +192,7 @@ _CATALOG = (
     ),
 )
 
-_DIM_TO_TAG = {
-    5: AlgebraTag.R,
-    8: AlgebraTag.C,
-    14: AlgebraTag.H,
-    26: AlgebraTag.O,
-}
+_DIM_TO_TAG = {e.n: AlgebraTag(e.k) for e in _CATALOG}
 
 
 def dimension_catalog() -> tuple[DimensionEntry, ...]:

@@ -47,6 +47,12 @@ DEFAULT_SEED = 2718
 DEFAULT_CLUSTER_TOL = 1e-4
 MUNZNER_ALLOWED_P = (1, 2, 3, 4, 6)
 LEVEL_GUARD = 0.95  # sampling stays this far from the focal levels by default
+NEWTON_MAX_ITERATIONS = 80  # Gauss-Newton steps per seeded start
+NEWTON_RESIDUAL_TOL = 1e-13  # max |(F(x) - t, |x|^2 - 1)| that counts as converged
+SEED_AGREEMENT_TOL = 2e-6  # worst per-eigenvalue spread across seeds
+SPACING_TOL = 1e-6  # worst |theta_{k+1} - theta_k - pi/p|
+SV_THRESHOLD = 1e-5  # singular values below it count toward the nullity
+FD_STEP = 1e-5  # first central-difference step of the parallel-map Jacobian
 
 _geometry_cache: dict = {}
 
@@ -184,7 +190,7 @@ class Spectrum(Report):
     clusters: tuple  # ((value, multiplicity), ...) in theta order
     p: int
     thetas: tuple  # ascending in (0, pi)
-    normal_sign: int = +1
+    normal_sign: int = field(init=False, default=+1)
 
     @property
     def multiplicities(self) -> tuple:
@@ -206,8 +212,6 @@ def sample_level(
     t: float,
     seed: int = DEFAULT_SEED,
     allow_extreme: bool = False,
-    max_iterations: int = 80,
-    residual_tol: float = 1e-13,
 ) -> SurfacePoint:
     """Newton-project a seeded random start onto {F = t} intersect S^n.
 
@@ -232,9 +236,9 @@ def sample_level(
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
         converged = False
-        for _ in range(max_iterations):
+        for _ in range(NEWTON_MAX_ITERATIONS):
             r = np.array([geo.value(x) - t, x @ x - 1.0])
-            if float(np.max(np.abs(r))) < residual_tol:
+            if float(np.max(np.abs(r))) < NEWTON_RESIDUAL_TOL:
                 converged = True
                 break
             J = np.vstack([geo.gradient(x), 2.0 * x])
@@ -315,9 +319,7 @@ def principal_curvatures(pt: SurfacePoint, flip_normal: bool = False) -> np.ndar
     return np.linalg.eigvalsh(shape_operator(pt, flip_normal=flip_normal).matrix)
 
 
-def cluster_spectrum(
-    eigenvalues, tol: float = DEFAULT_CLUSTER_TOL, normal_sign: int = +1
-) -> Spectrum:
+def cluster_spectrum(eigenvalues, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     """Single-linkage clustering of curvature values with a stability guard.
 
     Consecutive sorted eigenvalues closer than tol join one cluster.  The
@@ -351,7 +353,6 @@ def cluster_spectrum(
         clusters=clusters,
         p=len(clusters),
         thetas=thetas,
-        normal_sign=normal_sign,
     )
 
 
@@ -382,14 +383,14 @@ class MunznerReport(Report):
         return self.p_allowed and self.spacing_ok and self.multiplicity_rule_ok
 
 
-def munzner_check(spectrum: Spectrum, spacing_tol: float = 1e-6) -> MunznerReport:
+def munzner_check(spectrum: Spectrum) -> MunznerReport:
     p = spectrum.p
     allowed = p in MUNZNER_ALLOWED_P
     thetas = sorted(spectrum.thetas)
     if p > 1:
         gaps = [b - a for a, b in zip(thetas, thetas[1:])]
         max_err = max(abs(g - math.pi / p) for g in gaps)
-        spacing_ok = max_err <= spacing_tol
+        spacing_ok = max_err <= SPACING_TOL
     else:
         max_err = 0.0
         spacing_ok = True
@@ -438,14 +439,13 @@ def parallel_check(
     pt: SurfacePoint,
     travel: float,
     curvature_tol: float = 1e-6,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> ParallelReport:
     """Displace pt by angle ``travel`` along the normal geodesic and compare.
 
     The displaced surface must show curvatures cot(theta_k - travel) and the
     new level value must equal cos(p (theta_1 - travel)).
     """
-    base = spectrum_at(pt, tol=cluster_tol)
+    base = spectrum_at(pt)
     if _focal_distance(travel, base.thetas) < 1e-6:
         raise FocalAngleError(
             f"travel angle {travel} is a focal angle; the parallel map collapses"
@@ -509,12 +509,7 @@ class FocalReport(Report):
         return self.nullity == self.expected_nullity
 
 
-def parallel_map_rank(
-    pt: SurfacePoint,
-    angle: float,
-    sv_threshold: float = 1e-5,
-    fd_step: float = 1e-5,
-) -> tuple[int, np.ndarray]:
+def parallel_map_rank(pt: SurfacePoint, angle: float) -> tuple[int, np.ndarray]:
     """Nullity and singular values of d(x, t) -> cos t x + sin t xi(x).
 
     The Jacobian is built by central finite differences of the normal field
@@ -530,7 +525,7 @@ def parallel_map_rank(
         gs = geo.sphere_gradient(y)
         return gs / np.linalg.norm(gs)
 
-    for step in (fd_step, fd_step * 10, fd_step / 10):
+    for step in (FD_STEP, FD_STEP * 10, FD_STEP / 10):
         cols = []
         for idx in range(B.shape[1]):
             v = B[:, idx]
@@ -539,11 +534,11 @@ def parallel_map_rank(
         cols.append(-math.sin(angle) * pt.x + math.cos(angle) * frame.xi)
         J = np.column_stack(cols)
         sv = np.linalg.svd(J, compute_uv=False)
-        null = int(np.sum(sv < sv_threshold))
-        small = sv[sv < sv_threshold]
-        large = sv[sv >= sv_threshold]
+        null = int(np.sum(sv < SV_THRESHOLD))
+        small = sv[sv < SV_THRESHOLD]
+        large = sv[sv >= SV_THRESHOLD]
         gap_ok = (len(small) == 0 or len(large) == 0) or (
-            np.min(large) > 10 * max(np.max(small), sv_threshold / 10)
+            np.min(large) > 10 * max(np.max(small), SV_THRESHOLD / 10)
         )
         if gap_ok:
             return null, sv
@@ -552,19 +547,14 @@ def parallel_map_rank(
     )
 
 
-def focal_check(
-    pt: SurfacePoint,
-    k: int,
-    sv_threshold: float = 1e-5,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> FocalReport:
+def focal_check(pt: SurfacePoint, k: int) -> FocalReport:
     """Check that the parallel map at theta_k collapses exactly m_k ranks."""
-    spectrum = spectrum_at(pt, tol=cluster_tol)
+    spectrum = spectrum_at(pt)
     if not 0 <= k < spectrum.p:
         raise DomainError(f"curvature index {k} out of range for p = {spectrum.p}")
     theta = spectrum.thetas[k]
     expected = spectrum.multiplicities[k]
-    nullity, sv = parallel_map_rank(pt, theta, sv_threshold=sv_threshold)
+    nullity, sv = parallel_map_rank(pt, theta)
     return FocalReport(
         angle=theta,
         is_focal_angle=True,
@@ -574,14 +564,12 @@ def focal_check(
     )
 
 
-def nonfocal_rank_check(
-    pt: SurfacePoint, angle: float, sv_threshold: float = 1e-5
-) -> FocalReport:
+def nonfocal_rank_check(pt: SurfacePoint, angle: float) -> FocalReport:
     """Away from focal angles the parallel map is an immersion (full rank)."""
     spectrum = spectrum_at(pt)
     if _focal_distance(angle, spectrum.thetas) < 1e-3:
         raise DomainError(f"angle {angle} is too close to a focal angle")
-    nullity, sv = parallel_map_rank(pt, angle, sv_threshold=sv_threshold)
+    nullity, sv = parallel_map_rank(pt, angle)
     return FocalReport(
         angle=angle,
         is_focal_angle=False,
@@ -616,7 +604,6 @@ def spectrum_report(
     num_seeds: int = 1,
     base_seed: int = DEFAULT_SEED,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    agreement_tol: float = 2e-6,
 ) -> SpectrumReport:
     """Sample ``num_seeds`` points of M_t and compare their spectra.
 
@@ -637,5 +624,5 @@ def spectrum_report(
         spectrum=spectrum,
         munzner=munzner_check(spectrum),
         cross_seed_deviation=deviation,
-        seed_agreement_ok=deviation <= agreement_tol,
+        seed_agreement_ok=deviation <= SEED_AGREEMENT_TOL,
     )

@@ -1,18 +1,59 @@
-"""Reference Nurowski sweep: condition (3) tuple by tuple in ScalarQ3.
+"""Reference Nurowski code: the per-triple tensor and the tuple sweep in ScalarQ3.
 
-This is the ``check_conditions`` that ``isopar.nurowski`` used before it
-decided the conditions through lap F and |grad F|^2 - 9 r^4, kept
-unchanged as the oracle the tests compare against: the symmetry-reduced
-j <= k <= l <= m sweep over C(n+3, 4) tuples and its n^4 variant.  It is
-not part of the package: nothing under ``src/`` imports it.
+``extract_entries`` and ``contract`` are the coefficient-by-coefficient
+extraction and contraction that ``isopar.nurowski`` used before it held
+the tensor as its cubic; ``check_conditions`` is the one it used before
+it decided the conditions through lap F and |grad F|^2 - 9 r^4: the
+symmetry-reduced j <= k <= l <= m sweep over C(n+3, 4) tuples and its n^4
+variant.  They are kept unchanged as the oracles the tests compare
+against.  This module is not part of the package: nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from isopar.nurowski import ConditionReport, UpsilonTensor
-from isopar.polyalg import ScalarQ3
+from isopar.polyalg import Poly, ScalarQ3
+
+
+def extract_entries(F: Poly) -> dict:
+    """(i, j, k) sorted -> (1/6) third partial of the cubic F, all C(n+2, 3) keys."""
+    n = F.num_vars
+    entries: dict = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                mono = [0] * n
+                mono[i] += 1
+                mono[j] += 1
+                mono[k] += 1
+                coeff = F.coefficient(tuple(mono))
+                distinct = len({i, j, k})
+                orderings = {1: 1, 2: 3, 3: 6}[distinct]
+                entries[(i, j, k)] = coeff * Fraction(1, orderings)
+    return entries
+
+
+def contract(n: int, entries: dict) -> Poly:
+    """Rebuild sum_{ijk} Y_ijk x_i x_j x_k as a polynomial.
+
+    A sorted triple with r distinct indices is hit by 6 / (repetition
+    factorials) orderings of the free sum: 1, 3 or 6.
+    """
+    terms: dict = {}
+    for (i, j, k), val in entries.items():
+        if val.is_zero():
+            continue
+        mono = [0] * n
+        mono[i] += 1
+        mono[j] += 1
+        mono[k] += 1
+        orderings = {1: 1, 2: 3, 3: 6}[len({i, j, k})]
+        terms[tuple(mono)] = val * orderings
+    return Poly(n, terms)
 
 
 def _pair_vectors(tensor: UpsilonTensor) -> dict:

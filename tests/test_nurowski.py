@@ -18,6 +18,7 @@ from isopar.nurowski import (
 )
 from isopar.polyalg import SQRT3, Poly, ScalarQ3
 from reference_nurowski import check_conditions as ref_check_conditions
+from reference_nurowski import contract, extract_entries
 
 
 def test_upsilon_entries_of_expanded_cubic():
@@ -52,6 +53,25 @@ def test_contraction_reproduces_cubic():
         F = cartan_cubic(tag).F
         U = extract_upsilon(F)
         assert (U.contract() - F).is_zero()
+
+
+@pytest.mark.parametrize("tag", list(AlgebraTag), ids=lambda t: t.name)
+def test_entries_match_reference_extraction(tag):
+    # the cubic storage reads the same entries as the per-triple oracle,
+    # and those entries rebuild F
+    F = cartan_cubic(tag).F
+    n = 3 * tag.dim + 2
+    entries = extract_entries(F)
+    assert upsilon_for_dimension(n).entries == entries
+    assert contract(n, entries) == F
+
+
+def test_tensor_rejects_non_cubic():
+    with pytest.raises(PreconditionError):
+        UpsilonTensor(Poly(2, {(2, 0): 1}))
+    with pytest.raises(PreconditionError):
+        UpsilonTensor(Poly(2, {(3, 0): 1, (1, 0): 1}))
+    assert UpsilonTensor(Poly.zero(3)).entries[(0, 1, 2)] == 0
 
 
 def test_extract_rejects_non_cubic():
@@ -112,7 +132,7 @@ def perturbed_tensors(draw):
         key = draw(st.sampled_from(keys))
         delta = ScalarQ3(draw(small_fractions), draw(small_fractions))
         entries[key] = entries[key] + delta
-    return UpsilonTensor(n, entries)
+    return UpsilonTensor(contract(n, entries))
 
 
 @given(perturbed_tensors())
