@@ -92,10 +92,6 @@ class UpsilonTensor:
     def scale(self, factor) -> "UpsilonTensor":
         return UpsilonTensor(self.cubic.scale(factor))
 
-    def contract(self) -> Poly:
-        """sum_{ijk} Y_ijk x_i x_j x_k, the cubic itself."""
-        return self.cubic
-
 
 def extract_upsilon(F: Poly) -> UpsilonTensor:
     """The tensor Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k of a homogeneous cubic."""

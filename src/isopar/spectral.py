@@ -356,8 +356,8 @@ def cluster_spectrum(eigenvalues, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
     )
 
 
-def spectrum_at(pt: SurfacePoint, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
-    return cluster_spectrum(principal_curvatures(pt), tol=tol)
+def spectrum_at(pt: SurfacePoint) -> Spectrum:
+    return cluster_spectrum(principal_curvatures(pt))
 
 
 # ---------------------------------------------------------------------------
