@@ -8,7 +8,9 @@ For a homogeneous degree-p polynomial F on R^(n+1) the equations are
 and a polynomial satisfying them has sphere level sets forming an
 isoparametric family with curvature multiplicities m1, m2.  Both residuals
 are computed as exact polynomials and tested for literal emptiness; there
-is no tolerance anywhere in this module.
+is no tolerance anywhere in this module.  The gradient residual is
+``F.gradient_square() - p^2 r^(2p-2)``, where ``Poly.gradient_square``
+adds all n squares (dF/dx_i)^2 into one exact accumulator.
 
 For odd p the function r^(p-2) is not a polynomial, so the Laplace
 equation is read as lap F = 0 (all multiplicities equal, c = 0), matching
@@ -63,12 +65,7 @@ class CMReport(Report):
 
 def gradient_residual(F: Poly, p: int) -> Poly:
     """|grad F|^2 - p^2 r^(2p-2), exactly; empty iff the gradient identity holds."""
-    nv = F.num_vars
-    grad_sq = Poly.zero(nv)
-    for i in range(nv):
-        dF = F.differentiate(i)
-        grad_sq = grad_sq + dF * dF
-    return grad_sq - (sum_of_squares(nv) ** (p - 1)).scale(p * p)
+    return F.gradient_square() - (sum_of_squares(F.num_vars) ** (p - 1)).scale(p * p)
 
 
 def verify_cm(fam: IsoparametricFamily) -> CMReport:

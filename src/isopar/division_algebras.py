@@ -8,7 +8,10 @@ starting from R, so the quaternion and octonion tables are deterministic
 and self-testable.  ``cayley_dickson_mul`` is generic over the coefficient
 ring: it only needs ``+``, ``-`` and ``*``, so the same recursion that
 multiplies exact rational elements also multiplies vectors of polynomials
-when the Cartan cubic factory expands re(x y z) symbolically.
+when the Cartan cubic factory expands re(x y z) symbolically.  On units the
+doubling only moves signs, e_i e_j = +-e_(i xor j), so
+``structure_constants`` doubles a sign table instead of multiplying unit
+vectors.
 
 Conjugation negates every coordinate except the first, the real part is
 the first coordinate, and norm2 is the coordinate sum of squares; these
@@ -139,11 +142,29 @@ class StructureConstants:
 
 
 def structure_constants(tag: AlgebraTag) -> StructureConstants:
-    """The table of e_i e_j, multiplied on integer unit vectors."""
+    """The table of e_i e_j = sign[i][j] e_(i xor j), built by doubling signs.
+
+    For units e_i, e_j of the half algebra the doubling formula gives
+
+        (e_i, 0) (0, e_j) = (0, e_j e_i),
+        (0, e_i) (e_j, 0) = (0, e_i conj(e_j)),
+        (0, e_i) (0, e_j) = (-conj(e_j) e_i, 0),
+
+    each a signed unit read off the half table, so the sign table doubles
+    from R without multiplying any vectors.
+    """
+    sign = [[1]]  # R: e_0 e_0 = e_0
+    while len(sign) < tag.dim:
+        h = len(sign)
+        conj = [1] + [-1] * (h - 1)  # conj(e_j) = conj[j] e_j
+        sign = [row + [sign[j][i] for j in range(h)] for i, row in enumerate(sign)] + [
+            [row[j] * conj[j] for j in range(h)] + [-conj[j] * sign[j][i] for j in range(h)]
+            for i, row in enumerate(sign)
+        ]
     d = tag.dim
-    units = [[int(a == i) for a in range(d)] for i in range(d)]
     table = tuple(
-        tuple(tuple(cayley_dickson_mul(ei, ej)) for ej in units) for ei in units
+        tuple(tuple(sign[i][j] if k == i ^ j else 0 for k in range(d)) for j in range(d))
+        for i in range(d)
     )
     return StructureConstants(tag, table)
 

@@ -25,6 +25,13 @@ up to MAX_EXPONENT = 255 and must never carry into its neighbour: the
 constructor and ``loads`` refuse a larger exponent, and a product whose
 total degree could exceed 255 raises StructureError.
 
+Products accumulate term pairs into a numerator map in place, and a key is
+deleted the moment its sum cancels to 0, so every map stays canonical while
+it is filled and several products can share one map.  ``gradient_square``
+uses this for |grad p|^2: the squares of all n partial derivatives go into
+one A map and one B map, with no intermediate Poly and no copy of a
+growing sum.
+
 ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
 ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
 ``scale`` accept int, Fraction or ScalarQ3 values.
@@ -195,10 +202,6 @@ def _key_degree(key: int, num_vars: int) -> int:
     return sum(key.to_bytes(num_vars, "big"))
 
 
-def _nonzero(nums: dict) -> dict:
-    return {k: v for k, v in nums.items() if v}
-
-
 def _lincomb(x: dict, cx: int, y: dict, cy: int) -> dict:
     """cx*x + cy*y on numerator maps, zeros pruned, keys of x first."""
     if cx == 1:
@@ -219,6 +222,8 @@ def _lincomb(x: dict, cx: int, y: dict, cy: int) -> dict:
 def _mul_into(out: dict, x: dict, y: dict, c: int = 1) -> None:
     """Add c*x*y to ``out``; the key of a product of monomials is the key sum.
 
+    A key is deleted as soon as its sum cancels to 0, so ``out`` stays
+    canonical (no zero numerators) and can take any number of products.
     When x and y are the same map the product is a square, formed from the
     upper triangle of term pairs with the cross terms doubled.
     """
@@ -227,18 +232,42 @@ def _mul_into(out: dict, x: dict, y: dict, c: int = 1) -> None:
         terms = list(x.items())
         for i, (kx, vx) in enumerate(terms):
             k = kx + kx
-            out[k] = get(k, 0) + c * vx * vx
+            s = get(k, 0) + c * vx * vx
+            if s:
+                out[k] = s
+            else:
+                del out[k]
             vx *= 2 * c
             for ky, vy in terms[i + 1:]:
                 k = kx + ky
-                out[k] = get(k, 0) + vx * vy
+                s = get(k, 0) + vx * vy
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
     else:
         terms = list(y.items())
         for kx, vx in x.items():
             vx *= c
             for ky, vy in terms:
                 k = kx + ky
-                out[k] = get(k, 0) + vx * vy
+                s = get(k, 0) + vx * vy
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+
+
+def _check_product_degree(degree: int) -> None:
+    """Refuse a product of this total degree unless no exponent can pass 255.
+
+    Below that bound a key field never carries into its neighbour.
+    """
+    if degree > MAX_EXPONENT:
+        raise StructureError(
+            f"product of degree {degree} could hold an exponent above "
+            f"{MAX_EXPONENT}, the largest one key field holds"
+        )
 
 
 def _derivative(nums: dict, shift: int) -> dict:
@@ -412,13 +441,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_compatible(other)
-        # a field never carries into its neighbour while no exponent can pass 255
-        degree = (self.degree() or 0) + (other.degree() or 0)
-        if degree > MAX_EXPONENT:
-            raise StructureError(
-                f"product of degree {degree} could hold an exponent above "
-                f"{MAX_EXPONENT}, the largest one key field holds"
-            )
+        _check_product_degree((self.degree() or 0) + (other.degree() or 0))
         # (A1 + s B1)(A2 + s B2) = A1 A2 + 3 B1 B2 + s (A1 B2 + B1 A2)
         a: dict = {}
         b: dict = {}
@@ -426,7 +449,7 @@ class Poly:
         _mul_into(a, self._b, other._b, 3)
         _mul_into(b, self._a, other._b)
         _mul_into(b, self._b, other._a)
-        return Poly._raw(self.num_vars, _nonzero(a), _nonzero(b), self._den * other._den)
+        return Poly._raw(self.num_vars, a, b, self._den * other._den)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -482,10 +505,34 @@ class Poly:
                 for i, e in enumerate(k.to_bytes(n, "big")):
                     if e > 1:
                         key = k - twos[i]
-                        out[key] = get(key, 0) + v * e * (e - 1)
-            return _nonzero(out)
+                        s = get(key, 0) + v * e * (e - 1)
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+            return out
 
         return Poly._raw(n, lap(self._a), lap(self._b), self._den)
+
+    def gradient_square(self) -> "Poly":
+        """|grad p|^2 = sum_i (dp/dx_i)^2, computed exactly in one accumulator.
+
+        With dp/dx_i = (A_i + sqrt3 B_i) / den, every A_i^2 + 3 B_i^2 is added
+        into one A map and every 2 A_i B_i into one B map, both over den^2.
+        As for ``dp/dx_i * dp/dx_i``, StructureError is raised when the
+        squares, of degree 2 (deg p - 1), could pass exponent 255.
+        """
+        n = self.num_vars
+        _check_product_degree(2 * ((self.degree() or 1) - 1))
+        a: dict = {}
+        b: dict = {}
+        for i in range(n):
+            shift = 8 * (n - 1 - i)
+            da, db = _derivative(self._a, shift), _derivative(self._b, shift)
+            _mul_into(a, da, da)
+            _mul_into(a, db, db, 3)
+            _mul_into(b, da, db, 2)
+        return Poly._raw(n, a, b, self._den * self._den)
 
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
@@ -501,9 +548,10 @@ class Poly:
                 f"offending monomials: {sorted(bad)[:8]}"
             )
 
-        # sum_i x_i d/dx_i multiplies the term c x^e by e_1 + ... + e_n
+        # sum_i x_i d/dx_i multiplies the term c x^e by e_1 + ... + e_n, which
+        # is 0 only for the constant term, key 0
         def euler(nums: dict) -> dict:
-            return _nonzero({k: v * _key_degree(k, n) for k, v in nums.items()})
+            return {k: v * _key_degree(k, n) for k, v in nums.items() if k}
 
         return Poly._raw(n, euler(self._a), euler(self._b), self._den) == self.scale(degree)
 

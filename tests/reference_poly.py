@@ -211,6 +211,13 @@ class Poly:
             total = total + self.differentiate(i).differentiate(i)
         return total
 
+    def gradient_square(self) -> "Poly":
+        """|grad p|^2 as the sum of the squares dp/dx_i * dp/dx_i."""
+        total = Poly(self.num_vars)
+        for dF in self.gradient():
+            total = total + dF * dF
+        return total
+
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
 

@@ -49,6 +49,14 @@ def test_fkm_1_32_on_r64_exact():
     assert report.laplace_residual.is_zero()
 
 
+def test_fkm_9_2_on_r64_exact():
+    # l = 32, (m1, m2) = (9, 22): the gradient identity on R^64 and m2 - m1 = l - 2m - 1
+    report = verify_cm(fkm_family(build_system(build_generators(9, 2))))
+    assert report.ok
+    assert report.grad_residual.is_zero()
+    assert report.inferred_m_diff == 13
+
+
 def test_product_family_m_diff():
     report = verify_cm(product_family(7, 4))
     assert report.ok

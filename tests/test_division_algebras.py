@@ -9,6 +9,7 @@ import pytest
 from isopar.division_algebras import (
     AlgebraTag,
     AlgElem,
+    cayley_dickson_mul,
     structure_constants,
 )
 from isopar.errors import StructureError
@@ -161,3 +162,14 @@ def test_structure_constants_rows_have_single_entry():
             for j in range(tag.dim):
                 nonzero = [abs(v) for v in sc[i][j] if v]
                 assert nonzero == [1]
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.name)
+def test_structure_constants_match_cayley_dickson(tag):
+    # the sign-doubled table against the recursive product of unit vectors
+    d = tag.dim
+    units = [[int(a == i) for a in range(d)] for i in range(d)]
+    expected = tuple(
+        tuple(tuple(cayley_dickson_mul(ei, ej)) for ej in units) for ei in units
+    )
+    assert structure_constants(tag).c == expected

@@ -387,6 +387,9 @@ def test_family_and_verdicts_match_reference_kernel(name, monkeypatch):
         ref_report = verify_cm(ref_fam)
     assert isinstance(ref_fam.F, RefPoly)
     assert fam.F.dumps() == ref_fam.F.dumps()
+    if name != "nurowski-det":
+        # FamilyGeometry sums its float tables in items() order
+        assert [m for m, _ in fam.F.items()] == [m for m, _ in ref_fam.F.items()]
     for field in ("euler_ok", "grad_identity_ok", "laplace_identity_ok", "inferred_c", "inferred_m_diff"):
         assert getattr(report, field) == getattr(ref_report, field)
     assert report.grad_residual.num_terms() == ref_report.grad_residual.num_terms()
@@ -407,12 +410,58 @@ def test_gradient_square_matches_sympy(name):
             for mono, c in poly.items()
         )
 
-    grad_sq = Poly.zero(F.num_vars)
-    for dF in F.gradient():
-        grad_sq = grad_sq + dF * dF
+    grad_sq = F.gradient_square()
     F_sym = to_sympy(F)
     expected = sympy.expand(sum(sympy.diff(F_sym, x) ** 2 for x in xs))
     assert sympy.expand(to_sympy(grad_sq) - expected) == 0
+
+
+def _cross_cancelling(n):
+    """x1 (x0 + x2) + x3 (x0 - x2): its squared partials cancel the x0 x2 and
+    x1 x3 cross terms, so |grad|^2 = 2 r^2 on the first four variables."""
+    x = [Poly.variable(n, i) for i in range(4)]
+    return x[1] * (x[0] + x[2]) + x[3] * (x[0] - x[2])
+
+
+@st.composite
+def gradient_cases(draw):
+    """Random polynomials on 1-5 variables with sqrt3 parts and denominators,
+    optionally plus a multiple of the cross-cancelling quadratic."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    monos = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    p = Poly(n, draw(st.dictionaries(monos, scalars, max_size=6)))
+    if n >= 4 and draw(st.booleans()):
+        p = p + _cross_cancelling(n).scale(draw(scalars))
+    return p
+
+
+@given(gradient_cases())
+@settings(max_examples=150, deadline=None)
+def test_gradient_square_matches_reference(p):
+    got = p.gradient_square()
+    ref = RefPoly(p.num_vars, dict(p.items())).gradient_square()
+    _assert_same(got, ref)
+    assert all(got._a.values()) and all(got._b.values())
+
+
+def test_gradient_square_exact_values_and_degree_guard():
+    p = _cross_cancelling(4).scale(ScalarQ3(Fraction(1, 2), 1))
+    # |grad p|^2 = 2 c^2 r^2 with c = 1/2 + sqrt3
+    assert p.gradient_square() == sum_of_squares(4).scale(ScalarQ3(Fraction(13, 2), 2))
+    assert Poly.zero(3).gradient_square().is_zero()
+    assert Poly.constant(3, 5).gradient_square().is_zero()
+    assert Poly(2, {(128, 0): 1}).gradient_square() == Poly(2, {(254, 0): 128 * 128})
+    # a degree-129 input has squares of degree 256, past the 8-bit key field
+    with pytest.raises(StructureError):
+        Poly(2, {(0, 129): 1}).gradient_square()
+
+
+def test_product_prunes_cancelled_terms_in_place():
+    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    p = (x0 + x1) * (x0 - x1)
+    assert p.num_terms() == 2
+    assert p == Poly(2, {(2, 0): 1, (0, 2): -1})
+    assert all(p._a.values()) and not p._b
 
 
 # ---------------------------------------------------------------------------
