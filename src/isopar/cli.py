@@ -18,13 +18,22 @@ timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed, 2 usage error (including a negative --seed, a
 non-finite --travel, a --cluster-tol that is not a finite number > 0, a
 catalog inhom --m below 1, spectrum, parallel or focal on a family in S^1,
-whose level sets are points, and an --output path that cannot be written),
-3 a numerical procedure failed at run time (sampling did not converge,
-ambiguous clustering, a focal travel angle, a construction that failed its
-own relations).
+whose level sets are points, or at a --t with |t| > 0.95, inside the focal
+guard band, and an --output path that cannot be written), 3 a numerical
+procedure failed at run time (sampling did not converge, ambiguous
+clustering, a focal travel angle, a construction that failed its own
+relations).
 
 The --family choices and the arguments each family needs come from one
 registry, FAMILIES.
+
+The argument parser is built once, when this module is imported, as
+_PARSER; main only parses.  argparse keeps no per-call state in a parser,
+and help and usage text read the terminal width when they are printed.  It
+is not built lazily on the first call: a tracer that wraps the cmd_*
+handlers after import (perfbench/tracing.py) would then have its wrappers
+captured by set_defaults(func=...) in the cached parser, where they would
+outlive the tracer's uninstall.
 """
 
 from __future__ import annotations
@@ -325,9 +334,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text, code = args.func(args)
     except (DomainError, PreconditionError, StructureError) as err:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from isopar import cli
 from isopar.cli import main
 from isopar.polyalg import Poly
 
@@ -289,3 +290,70 @@ def test_output_file_holds_stdout_bytes(tmp_path, capsys, argv):
     assert code == 0
     assert file_out == ""
     assert target.read_bytes() == out.encode()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+FOCAL = ("focal", "--family", "product", "--n", "7", "--k", "4", "--index", "1", "--seed", "3")
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "make_parser", refuse)
+    code, out, _ = run(capsys, "catalog", "su3-orbit")
+    assert code == 0
+    assert json.loads(out)["command"] == "catalog su3-orbit"
+
+
+def test_output_option_does_not_carry_over(tmp_path, capsys):
+    argv = ("catalog", "inhom", "--m1", "3", "--m2", "4")
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--output", str(target))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == target.read_bytes()
+
+
+def test_usage_error_then_valid_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--family", "product", "--n", "7", "--k", "4", "--seed", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "catalog", "inhom", "--m1", "5", "--m2", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["verdict"] == "inconclusive"
+
+
+def test_help_then_repeated_focal_runs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert "--cluster-tol" in capsys.readouterr().out
+    first = run(capsys, *FOCAL)
+    second = run(capsys, *FOCAL)
+    assert first[0] == 0 and first[2] == ""
+    assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--t", "0.97"),
+        ("parallel", "--family", "product", "--n", "7", "--k", "4", "--t", "-0.96",
+         "--travel", "0.3"),
+        ("focal", "--family", "product", "--n", "7", "--k", "4", "--t", "0.99",
+         "--index", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_focal_guard_band_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "guard band" in err and "0.95" in err
+    assert "allow_extreme" not in err

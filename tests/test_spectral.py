@@ -335,6 +335,14 @@ def test_geometry_tables_match_exact_derivatives(fam):
     def close(measured, exact):
         return abs(measured - exact) <= 1e-12 * (1 + abs(exact))
 
+    def row_products(table, x, size):
+        # one product per row over the whole padded row, as numpy reduces it
+        columns, coeffs, slots = table
+        rows = columns.T
+        return np.bincount(
+            slots, coeffs * np.prod(np.append(x, 1.0)[rows], axis=1), minlength=size
+        )
+
     for seed in (1, 2, 3):
         x = np.random.default_rng(seed).normal(size=n)
         x /= np.linalg.norm(x)
@@ -345,3 +353,8 @@ def test_geometry_tables_match_exact_derivatives(fam):
             assert close(g[i], grads[i].evaluate_float(point))
             for j in range(n):
                 assert close(H[i, j], grads[i].differentiate(j).evaluate_float(point))
+        # the column products are bit-identical to the row products
+        assert np.array_equal(geo.value(x), row_products(geo._value, x, 1)[0])
+        assert np.array_equal(g, row_products(geo._grad, x, n))
+        upper = row_products(geo._hess, x, n * n).reshape(n, n)
+        assert np.array_equal(H, upper + np.triu(upper, 1).T)
