@@ -19,7 +19,8 @@ verification failed, 2 usage error (including a negative --seed, a
 non-finite --travel, a --cluster-tol that is not a finite number > 0, a
 catalog inhom --m below 1, spectrum, parallel or focal on a family in S^1,
 whose level sets are points, or at a --t with |t| > 0.95, inside the focal
-guard band, and an --output path that cannot be written), 3 a numerical
+guard band, a Clifford size l = k delta(m) above 256 in clifford build or
+--family fkm, and an --output path that cannot be written), 3 a numerical
 procedure failed at run time (sampling did not converge, ambiguous
 clustering, a focal travel angle, a construction that failed its own
 relations).
@@ -42,8 +43,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import catalog as cat
 from . import spectral
@@ -193,8 +192,8 @@ def cmd_clifford_build(args) -> tuple[str, int]:
     lines = [f"# m={args.m} k={args.k} l={gens.l} what={args.what}"]
     for label, M in zip(labels, mats):
         lines.append(f"# {label}")
-        for row in np.asarray(M):
-            lines.append(",".join(str(int(v)) for v in row))
+        for row in M.rows():
+            lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n", _verdict(ok)
 
 

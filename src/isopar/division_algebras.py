@@ -11,7 +11,9 @@ multiplies exact rational elements also multiplies vectors of polynomials
 when the Cartan cubic factory expands re(x y z) symbolically.  On units the
 doubling only moves signs, e_i e_j = +-e_(i xor j), so
 ``structure_constants`` doubles a sign table instead of multiplying unit
-vectors.
+vectors.  Left multiplication by a unit is therefore a signed permutation
+of the basis, and ``clifford`` reads its generators straight off this
+table.
 
 Conjugation negates every coordinate except the first, the real part is
 the first coordinate, and norm2 is the coordinate sum of squares; these
@@ -168,12 +170,3 @@ def structure_constants(tag: AlgebraTag) -> StructureConstants:
     )
     return StructureConstants(tag, table)
 
-
-def left_multiplication_matrices(tag: AlgebraTag) -> list[list[list[int]]]:
-    """Matrices of x -> e_i * x for i = 0..d-1 (column b of matrix i is e_i e_b).
-
-    All d matrices come from one structure-constant table.
-    """
-    sc = structure_constants(tag).c
-    d = tag.dim
-    return [[[sc[i][b][a] for b in range(d)] for a in range(d)] for i in range(d)]

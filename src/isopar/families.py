@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import CliffordSystem, delta
+from .clifford import CliffordSystem, SignedPerm, delta
 from .division_algebras import AlgebraTag, cayley_dickson_mul
 from .errors import DomainError, PreconditionError
 from .polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
@@ -168,22 +168,23 @@ def cartan_cubic(tag: AlgebraTag) -> IsoparametricFamily:
     )
 
 
-def _quadratic_form(matrix, num_vars: int) -> Poly:
-    """<M x, x> as a polynomial, for a symmetric integer matrix."""
+def _quadratic_form(P: SignedPerm, num_vars: int) -> Poly:
+    """<P x, x> = sum_a s_a x_a x_perm(a), for a symmetric signed permutation.
+
+    Symmetry pairs row a with row perm(a), so each product is read once,
+    from the row with a <= perm(a), with coefficient s_a on the diagonal
+    and 2 s_a off it.  Keys go in row by row, as an upper-triangle scan of
+    the matrix meets them; F's terms, which the numeric tables are summed
+    over in order, follow this order.
+    """
     terms: dict = {}
-    n = len(matrix)
-    for a in range(n):
-        row = matrix[a]
-        for b in range(a, n):
-            val = row[b]
-            if val == 0:
-                continue
-            coeff = val if a == b else 2 * val
-            mono = [0] * num_vars
-            mono[a] += 1
-            mono[b] += 1
-            key = tuple(mono)
-            terms[key] = terms.get(key, 0) + coeff
+    for a, (b, s) in enumerate(zip(P.perm, P.signs)):
+        if b < a:
+            continue
+        mono = [0] * num_vars
+        mono[a] += 1
+        mono[b] += 1
+        terms[tuple(mono)] = s if a == b else 2 * s
     return Poly(num_vars, terms)
 
 
@@ -204,7 +205,7 @@ def fkm_family(system: CliffordSystem) -> IsoparametricFamily:
     r2 = sum_of_squares(nv)
     F = r2 * r2
     for P in system.mats:
-        q = _quadratic_form(P.tolist(), nv)
+        q = _quadratic_form(P, nv)
         F = F - (q * q).scale(2)
     k = l // delta(m)
     return IsoparametricFamily(

@@ -11,7 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from isopar import spectral
@@ -23,6 +22,7 @@ from isopar.catalog import (
 )
 from isopar.clifford import (
     CliffordSystem,
+    SignedPerm,
     build_generators,
     build_system,
     delta,
@@ -186,7 +186,7 @@ def test_criterion_07_clifford_layer():
         corrupted = CliffordSystem(
             m=base.m,
             l=base.l,
-            mats=(np.eye(2 * base.l, dtype=np.int64),) + base.mats[1:],
+            mats=(SignedPerm.identity(2 * base.l),) + base.mats[1:],
         )
         assert not validate_system(corrupted).ok
 

@@ -357,3 +357,21 @@ def test_focal_guard_band_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "guard band" in err and "0.95" in err
     assert "allow_extreme" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clifford", "build", "--m", "33"),
+        ("verify", "cm", "--family", "fkm", "--m", "1", "--k", "257"),
+        ("clifford", "build", "--m", "100000000"),
+    ],
+    ids=["clifford-m33", "fkm-k257", "clifford-m1e8"],
+)
+def test_clifford_size_above_cap_is_usage_error(capsys, argv):
+    # l = k delta(m) above 256 is refused before any matrix is built
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "256" in err

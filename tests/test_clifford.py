@@ -1,13 +1,19 @@
 """Clifford generator and system construction, exact relation checks."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isopar
+import reference_clifford as ref
 from isopar import division_algebras
 from isopar.clifford import (
     CliffordSystem,
+    SignedPerm,
     build_generators,
     build_system,
     delta,
@@ -15,6 +21,11 @@ from isopar.clifford import (
 )
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import ConstructionError, DomainError
+from isopar.families import fkm_family
+
+
+def dense(P: SignedPerm) -> np.ndarray:
+    return np.array(P.rows(), dtype=np.int64)
 
 
 def test_delta_table():
@@ -55,7 +66,7 @@ def test_m2_generator_is_quarter_turn_up_to_sign():
         ):
             quarter_turns.append(M)
     assert len(quarter_turns) == 2
-    assert any(np.array_equal(E, Q) for Q in quarter_turns)
+    assert any(np.array_equal(dense(E), Q) for Q in quarter_turns)
 
 
 @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (2, 2), (3, 2), (4, 3), (10, 1)])
@@ -75,15 +86,15 @@ def test_m5_matches_bott_dimension():
 def test_build_system_smallest_case():
     system = build_system(build_generators(1, 1))
     P0, P1 = system.mats
-    assert np.array_equal(P0, np.diag([1, -1]))
-    assert np.array_equal(P1, np.array([[0, 1], [1, 0]]))
+    assert np.array_equal(dense(P0), np.diag([1, -1]))
+    assert np.array_equal(dense(P1), np.array([[0, 1], [1, 0]]))
     assert validate_system(system).ok
 
 
 def test_build_system_m2_k2():
     system = build_system(build_generators(2, 2))
     assert len(system.mats) == 3
-    assert system.mats[0].shape == (8, 8)
+    assert dense(system.mats[0]).shape == (8, 8)
     assert validate_system(system).ok
 
 
@@ -91,14 +102,14 @@ def test_build_system_m2_k2():
 def test_system_traces_vanish(m, k):
     system = build_system(build_generators(m, k))
     for P in system.mats:
-        assert int(np.trace(P)) == 0
+        assert int(np.trace(dense(P))) == 0
 
 
 @pytest.mark.parametrize("m,k", [(2, 2), (4, 2), (5, 1)])
 def test_system_eigenvalues_plus_minus_one_balanced(m, k):
     system = build_system(build_generators(m, k))
     for P in system.mats:
-        eig = np.linalg.eigvalsh(P.astype(float))
+        eig = np.linalg.eigvalsh(dense(P).astype(float))
         assert np.all(np.abs(np.abs(eig) - 1.0) < 1e-10)
         assert np.sum(eig < 0) == system.l
 
@@ -107,10 +118,11 @@ def test_inner_products_isometric_on_random_vectors():
     # <P_i x, P_j x> = <x, x> delta_ij, the identity behind the quartic norm
     rng = np.random.default_rng(5)
     system = build_system(build_generators(3, 2))
+    mats = [dense(P) for P in system.mats]
     for _ in range(25):
         x = rng.normal(size=2 * system.l)
-        for i, Pi in enumerate(system.mats):
-            for j, Pj in enumerate(system.mats):
+        for i, Pi in enumerate(mats):
+            for j, Pj in enumerate(mats):
                 want = float(x @ x) if i == j else 0.0
                 assert (Pi @ x) @ (Pj @ x) == pytest.approx(want, abs=1e-9)
 
@@ -121,7 +133,7 @@ def test_identity_in_place_of_p0_fails_validation():
     corrupted = CliffordSystem(
         m=system.m,
         l=system.l,
-        mats=(np.eye(n, dtype=np.int64),) + system.mats[1:],
+        mats=(SignedPerm.identity(n),) + system.mats[1:],
     )
     report = validate_system(corrupted)
     assert not report.ok
@@ -134,12 +146,15 @@ def test_sign_perturbation_localizes_to_touched_pairs():
     system = build_system(build_generators(2, 2))
     for _ in range(10):
         which = int(rng.integers(0, len(system.mats)))
-        P = system.mats[which].copy()
-        nz = np.argwhere(P != 0)
-        a, b = nz[int(rng.integers(0, len(nz)))]
-        P[a, b] = -P[a, b]
+        Q = system.mats[which]
+        # each row holds one nonzero entry, (a, perm[a])
+        a = int(rng.integers(0, len(Q.perm)))
+        b = Q.perm[a]
+        signs = list(Q.signs)
+        signs[a] = -signs[a]
         if a != b:
-            P[b, a] = -P[b, a]  # keep symmetric so only relation residuals fire
+            signs[b] = -signs[b]  # keep symmetric so only relation residuals fire
+        P = SignedPerm(Q.perm, tuple(signs))
         corrupted = CliffordSystem(
             m=system.m,
             l=system.l,
@@ -154,7 +169,7 @@ def test_sign_perturbation_localizes_to_touched_pairs():
 def test_construction_error_on_bad_generators():
     from isopar.clifford import CliffordGenerators
 
-    bad = CliffordGenerators(m=2, l=2, mats=(np.eye(2, dtype=np.int64),))
+    bad = CliffordGenerators(m=2, l=2, mats=(SignedPerm.identity(2),))
     with pytest.raises(ConstructionError):
         build_system(bad) if bad.validate() is None else None
 
@@ -170,3 +185,63 @@ def test_generators_compute_structure_constants_once(monkeypatch):
     monkeypatch.setattr(division_algebras, "structure_constants", counting)
     build_generators(9, 1)
     assert calls == [AlgebraTag.O]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_signed_perms_match_dense_reference(m, k):
+    gens = build_generators(m, k)
+    want = ref.generators(m, k)
+    assert len(gens.mats) == len(want)
+    for E, W in zip(gens.mats, want):
+        assert np.array_equal(dense(E), W)
+    system = build_system(gens)
+    want = ref.system(m, k)
+    assert len(system.mats) == len(want)
+    for P, W in zip(system.mats, want):
+        assert np.array_equal(dense(P), W)
+
+
+@pytest.mark.parametrize("m,k", [(9, 1), (5, 1), (1, 16), (3, 3), (2, 2), (3, 2)])
+def test_fkm_polynomial_matches_dense_reference(m, k):
+    # same text and the same term order: numeric tables are summed in it
+    F = fkm_family(build_system(build_generators(m, k))).F
+    want = ref.fkm_poly(ref.system(m, k))
+    assert F.dumps() == want.dumps()
+    assert list(F.items()) == list(want.items())
+
+
+def test_residuals_match_dense_reference():
+    # corrupted systems: the residuals of failing pairs are summed entrywise
+    rng = np.random.default_rng(7)
+    system = build_system(build_generators(3, 1))
+    n = 2 * system.l
+    cases = [(SignedPerm.identity(n),) + system.mats[1:], system.mats]
+    for _ in range(20):
+        which = int(rng.integers(0, len(system.mats)))
+        Q = system.mats[which]
+        perm, signs = list(Q.perm), list(Q.signs)
+        a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+        if rng.integers(0, 2):
+            signs[a] = -signs[a]  # breaks symmetry
+        else:
+            perm[a] = perm[b]  # two nonzeros in one column: not a bijection
+        cases.append(
+            tuple(SignedPerm(tuple(perm), tuple(signs)) if i == which else P
+                  for i, P in enumerate(system.mats))
+        )
+    for mats in cases:
+        report = validate_system(CliffordSystem(m=system.m, l=system.l, mats=mats))
+        symmetric, residuals = ref.residuals([dense(P) for P in mats])
+        assert report.symmetric == symmetric
+        assert [(r.i, r.j, r.max_abs_residual) for r in report.residuals] == list(residuals)
+        assert report.ok == (all(symmetric) and all(r == 0 for *_, r in residuals))
+
+
+def test_exact_modules_import_without_numpy():
+    modules = ("polyalg", "division_algebras", "clifford", "families", "cm_verifier", "nurowski")
+    code = "; ".join(f"import isopar.{name}" for name in modules)
+    code += "; import sys; assert 'numpy' not in sys.modules, 'numpy imported'"
+    src = os.path.dirname(os.path.dirname(isopar.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
