@@ -17,16 +17,25 @@ identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed, 2 usage error (including a negative --seed, a
 non-finite --travel, a --cluster-tol that is not a finite number > 0, a
-catalog inhom --m below 1, spectrum, parallel or focal on a family in S^1,
-whose level sets are points, or at a --t with |t| > 0.95, inside the focal
-guard band, a Clifford size l = k delta(m) above 256 in clifford build or
---family fkm, and an --output path that cannot be written), 3 a numerical
-procedure failed at run time (sampling did not converge, ambiguous
-clustering, a focal travel angle, a construction that failed its own
-relations).
+catalog inhom --m below 1, --family product at k = 1 or k = n for n >= 2,
+which declares a zero multiplicity, spectrum, parallel or focal on a
+family in S^1, whose level sets are points, or at a --t with |t| > 0.95,
+inside the focal guard band, a Clifford size l = k delta(m) above 256 in
+clifford build or --family fkm, and an --output path that cannot be
+written), 3 a numerical procedure failed at run time (sampling did not
+converge, ambiguous clustering, a focal travel angle, a construction that
+failed its own relations).
 
 The --family choices and the arguments each family needs come from one
-registry, FAMILIES.
+registry, FAMILIES.  A family is built once per process for each set of
+values of its required arguments: build_family keeps the last
+FAMILY_MEMO_SIZE = 16 families built, so a repeated request gets the same
+IsoparametricFamily object, and with it the derivative tables that
+spectral compiled for that object.  A factory that raises is not
+remembered, so a bad request fails the same way every time.  The factories
+look their builders (fkm_family and the others) up by global name when
+they run, not when the registry is made, so a tracer that rebinds those
+names after import (perfbench/tracing.py) still sees every build.
 
 The argument parser is built once, when this module is imported, as
 _PARSER; main only parses.  argparse keeps no per-call state in a parser,
@@ -40,6 +49,7 @@ outlive the tracer's uninstall.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,22 +110,48 @@ _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
-# --family name -> (required arguments, factory over the parsed arguments)
+
+def _product(n: int, k: int) -> IsoparametricFamily:
+    """product_family, refusing k = 1 and k = n for n >= 2.
+
+    Those declare a zero multiplicity: the levels are S^0 x S^(n-1), two
+    round spheres, on which spectrum measures p = 1 against the declared 2.
+    n = 1 is built and refused later, as a family in S^1.
+    """
+    if n >= 2 and k in (1, n):
+        zero = "m1 = k - 1" if k == 1 else "m2 = n - k"
+        raise DomainError(
+            f"product(n={n},k={k}) has multiplicity {zero} = 0: its level sets are "
+            "two round spheres, with p = 1, not the declared 2"
+        )
+    return product_family(n, k)
+
+
+# --family name -> (required arguments, factory over their values); each
+# factory looks its builder up by global name when it is called
 FAMILIES = {
-    "linear": (("n",), lambda a: linear_family(a.n)),
-    "product": (("n", "k"), lambda a: product_family(a.n, a.k)),
-    "cartan-cubic": (("algebra",), lambda a: cartan_cubic(AlgebraTag[a.algebra])),
-    "fkm": (("m", "k"), lambda a: fkm_family(build_system(build_generators(a.m, a.k)))),
-    "nomizu": (("n",), lambda a: nomizu_family(a.n)),
+    "linear": (("n",), lambda n: linear_family(n)),
+    "product": (("n", "k"), _product),
+    "cartan-cubic": (("algebra",), lambda algebra: cartan_cubic(AlgebraTag[algebra])),
+    "fkm": (("m", "k"), lambda m, k: fkm_family(build_system(build_generators(m, k)))),
+    "nomizu": (("n",), lambda n: nomizu_family(n)),
 }
+# built families kept, least recently used dropped first; a benchmark
+# workload asks for at most 5 distinct ones
+FAMILY_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _built_family(name: str, values: tuple) -> IsoparametricFamily:
+    return FAMILIES[name][1](*values)
 
 
 def build_family(args) -> IsoparametricFamily:
-    required, factory = FAMILIES[args.family]
+    required = FAMILIES[args.family][0]
     if any(getattr(args, name) is None for name in required):
         flags = " and ".join(f"--{name}" for name in required)
         raise DomainError(f"{args.family} needs {flags}")
-    return factory(args)
+    return _built_family(args.family, tuple(getattr(args, name) for name in required))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ growing sum.
 
 ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
 ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
-``scale`` accept int, Fraction or ScalarQ3 values.
+``scale`` accept int, Fraction or ScalarQ3 values.  ``numerators`` returns
+the terms of ``items`` as integer numerators over the shared denominator.
 
 All values are immutable after construction and all operations are pure
 functions; evaluating and differentiating from several threads is safe.
@@ -359,14 +360,21 @@ class Poly:
 
     # -- access -------------------------------------------------------------
 
+    def numerators(self) -> tuple[int, list[tuple[Monomial, int, int]]]:
+        """den and the (exponent tuple, a, b) terms of (a + sqrt3 b) / den.
+
+        The terms of A come first, then those only in B, with a = 0.
+        """
+        n, a, b = self.num_vars, self._a, self._b
+        terms = [(_unpack(k, n), v, b.get(k, 0)) for k, v in a.items()]
+        terms += [(_unpack(k, n), 0, v) for k, v in b.items() if k not in a]
+        return self._den, terms
+
     def items(self) -> Iterator[tuple[Monomial, ScalarQ3]]:
-        """(exponent tuple, coefficient) pairs: the terms of A, then those only in B."""
-        n, a, b, den = self.num_vars, self._a, self._b, self._den
-        for k, v in a.items():
-            yield _unpack(k, n), ScalarQ3(Fraction(v, den), Fraction(b.get(k, 0), den))
-        for k, v in b.items():
-            if k not in a:
-                yield _unpack(k, n), ScalarQ3(0, Fraction(v, den))
+        """(exponent tuple, coefficient) pairs, in the order of ``numerators``."""
+        den, terms = self.numerators()
+        for mono, a, b in terms:
+            yield mono, ScalarQ3(Fraction(a, den), Fraction(b, den))
 
     def coefficient(self, mono: Iterable[int]) -> ScalarQ3:
         mono = tuple(mono)

@@ -24,11 +24,19 @@ Hessian restriction to the sphere: for homogeneous F and |x| = 1,
     Hess_S f(X, Y) = Hess F(X, Y) - <grad F, x> <X, Y>,
 
 the correction being the second fundamental form of S^n in R^(n+1).
+
+Every measurement evaluates F and its derivatives through the family's
+FamilyGeometry, compiled on the first request.  The cache that holds it is
+keyed weakly on the family object, so the compiled tables live exactly as
+long as the family does and the module keeps no family alive.  The
+geometry therefore holds no reference back to its family: a value that
+held its weak key would keep the key, and itself, alive for good.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +62,9 @@ SPACING_TOL = 1e-6  # worst |theta_{k+1} - theta_k - pi/p|
 SV_THRESHOLD = 1e-5  # singular values below it count toward the nullity
 FD_STEP = 1e-5  # first central-difference step of the parallel-map Jacobian
 
-_geometry_cache: dict = {}
+_SQRT3 = math.sqrt(3.0)
+
+_geometry_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _table(entries: list, n: int) -> tuple:
@@ -88,11 +98,13 @@ def _drop(vs: list, i: int) -> list:
     return vs[:k] + vs[k + 1 :]
 
 
-def _scaled(floats: dict, c, k: int) -> float:
-    """float(c * k), multiplied exactly; ``floats`` caches it per term."""
-    if k not in floats:
-        floats[k] = float(c * k)
-    return floats[k]
+def _float(a: int, b: int, den: int) -> float:
+    """(a + sqrt3 b) / den, rounded as float() rounds the ScalarQ3 a/den + b/den sqrt3.
+
+    Python int true division rounds the exact quotient once, as
+    Fraction.__float__ does, so the two agree bit for bit.
+    """
+    return a / den + b / den * _SQRT3
 
 
 class FamilyGeometry:
@@ -100,32 +112,32 @@ class FamilyGeometry:
 
     The tables come from the exact terms of F by exponent arithmetic: the
     partial d/dx_i of c x^e is (c e_i) x^(e - e_i), the coefficient being
-    multiplied out in Q(sqrt 3) before its one rounding to float.  A table
-    row is a monomial with its output slot (0 for F, i for dF/dx_i, i n + j
-    for the Hessian entry i <= j).  Evaluating a table gathers the point at
-    each column of variable indices, multiplies the columns left to right
-    into one product per row, scales it by the coefficients and scatter-adds
-    it into the slots.  numpy's multiply reduction along a row also runs left
-    to right from the first factor, so the values are bit-identical to
-    coeffs * np.prod(point[rows], axis=1); that reduction over 2- to 4-wide
-    rows takes about 3 times as long on the fkm(9,1) gradient and Hessian.
+    multiplied out on the integer numerators of c before its one rounding
+    to float.  A table row is a monomial with its output slot (0 for F, i
+    for dF/dx_i, i n + j for the Hessian entry i <= j).  Evaluating a table
+    gathers the point at each column of variable indices, multiplies the
+    columns left to right into one product per row, scales it by the
+    coefficients and scatter-adds it into the slots.  numpy's multiply
+    reduction along a row also runs left to right from the first factor, so
+    the values are bit-identical to coeffs * np.prod(point[rows], axis=1);
+    that reduction over 2- to 4-wide rows takes about 3 times as long on the
+    fkm(9,1) gradient and Hessian.
     """
 
     def __init__(self, fam: IsoparametricFamily):
-        self.family = fam
         n = self.n_amb = fam.ambient_dim
+        den, terms = fam.F.numerators()
         value, grad, hess = [], [], []
-        for mono, c in fam.F.items():
-            floats = {1: float(c)}
+        for mono, a, b in terms:
             vs = [v for v, e in enumerate(mono) for _ in range(e)]
-            value.append((0, floats[1], vs))
+            value.append((0, _float(a, b, den), vs))
             for i in dict.fromkeys(vs):
                 di = _drop(vs, i)
-                grad.append((i, _scaled(floats, c, mono[i]), di))
+                grad.append((i, _float(a * mono[i], b * mono[i], den), di))
                 for j in dict.fromkeys(di):
                     if j >= i:
                         k = mono[i] * di.count(j)
-                        hess.append((i * n + j, _scaled(floats, c, k), _drop(di, j)))
+                        hess.append((i * n + j, _float(a * k, b * k, den), _drop(di, j)))
         self._value = _table(value, n)
         self._grad = _table(grad, n)
         self._hess = _table(hess, n)
@@ -147,16 +159,10 @@ class FamilyGeometry:
 
 
 def geometry(fam: IsoparametricFamily) -> FamilyGeometry:
-    """The cached geometry of fam, compiled on the first request.
-
-    A hit is stored again under the caller's family object: a rebuilt but
-    equal family then matches by identity on later lookups, without the
-    term-by-term comparison of its polynomial.
-    """
-    geo = _geometry_cache.pop(fam, None)
+    """The geometry of fam, compiled on the first request and kept while fam lives."""
+    geo = _geometry_cache.get(fam)
     if geo is None:
-        geo = FamilyGeometry(fam)
-    _geometry_cache[fam] = geo
+        geo = _geometry_cache[fam] = FamilyGeometry(fam)
     return geo
 
 
@@ -167,14 +173,6 @@ class SurfacePoint:
     geometry: FamilyGeometry = field(repr=False)
     x: np.ndarray = field(repr=False)
     t: float
-
-    @property
-    def family(self) -> IsoparametricFamily:
-        return self.geometry.family
-
-    @property
-    def n_amb(self) -> int:
-        return self.geometry.n_amb
 
 
 @dataclass(frozen=True)
@@ -568,21 +566,6 @@ def focal_check(pt: SurfacePoint, k: int) -> FocalReport:
         angle=theta,
         is_focal_angle=True,
         expected_nullity=expected,
-        nullity=nullity,
-        singular_values=tuple(float(v) for v in sv),
-    )
-
-
-def nonfocal_rank_check(pt: SurfacePoint, angle: float) -> FocalReport:
-    """Away from focal angles the parallel map is an immersion (full rank)."""
-    spectrum = spectrum_at(pt)
-    if _focal_distance(angle, spectrum.thetas) < 1e-3:
-        raise DomainError(f"angle {angle} is too close to a focal angle")
-    nullity, sv = parallel_map_rank(pt, angle)
-    return FocalReport(
-        angle=angle,
-        is_focal_angle=False,
-        expected_nullity=None,
         nullity=nullity,
         singular_values=tuple(float(v) for v in sv),
     )

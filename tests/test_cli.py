@@ -1,11 +1,13 @@
 """Command grammar, exit codes, report determinism."""
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
-from isopar import cli
+from isopar import cli, spectral
 from isopar.cli import main
 from isopar.polyalg import Poly
 
@@ -226,6 +228,27 @@ def test_level_sets_in_circle_are_usage_errors(capsys, argv):
     assert err.startswith("error: ") and "S^1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "cm", "--family", "product", "--n", "3", "--k", "1"),
+        ("verify", "cm", "--family", "product", "--n", "3", "--k", "3"),
+        ("spectrum", "--family", "product", "--n", "3", "--k", "1"),
+        ("spectrum", "--family", "product", "--n", "3", "--k", "3"),
+        ("parallel", "--family", "product", "--n", "3", "--k", "1", "--travel", "0"),
+        ("parallel", "--family", "product", "--n", "3", "--k", "3", "--travel", "0"),
+    ],
+    ids=["verify-k1", "verify-k3", "spectrum-k1", "spectrum-k3", "parallel-k1", "parallel-k3"],
+)
+def test_product_with_a_zero_multiplicity_is_usage_error(capsys, argv):
+    # k = 1 or k = n declares a multiplicity 0: the levels are two round spheres
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "multiplicity" in err and "= 0" in err
+
+
 # sha256 of the full stdout, recorded before the reports shared one renderer;
 # the nurowski --dim 8, 14 and 26 digests before the conditions were decided
 # through lap F and |grad F|^2 - 9 r^4
@@ -375,3 +398,97 @@ def test_clifford_size_above_cap_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "256" in err
+
+
+# ---------------------------------------------------------------------------
+# one family per argument set
+# ---------------------------------------------------------------------------
+
+NOMIZU = ("--family", "nomizu", "--n", "4")
+
+
+def family_args(*argv):
+    return cli._PARSER.parse_args(["spectrum", *argv])
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """An empty family memo and geometry cache; counts of nomizu_family
+    builds, FamilyGeometry compiles and Poly.__eq__ calls."""
+    counts = {"builds": 0, "compiles": 0, "compares": 0}
+    build, compile_geometry, equal = cli.nomizu_family, spectral.FamilyGeometry, Poly.__eq__
+
+    def counting_build(n):
+        counts["builds"] += 1
+        return build(n)
+
+    class CountingGeometry(compile_geometry):
+        def __init__(self, fam):
+            counts["compiles"] += 1
+            super().__init__(fam)
+
+    def counting_equal(self, other):
+        counts["compares"] += 1
+        return equal(self, other)
+
+    cli._built_family.cache_clear()
+    monkeypatch.setattr(cli, "nomizu_family", counting_build)
+    monkeypatch.setattr(spectral, "FamilyGeometry", CountingGeometry)
+    monkeypatch.setattr(spectral, "_geometry_cache", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(Poly, "__eq__", counting_equal)
+    yield counts
+    cli._built_family.cache_clear()
+
+
+def test_repeated_requests_build_and_compile_once(capsys, counted):
+    argvs = [
+        ("focal", *NOMIZU, "--index", "1"),
+        ("parallel", *NOMIZU, "--travel", "0.3"),
+        ("spectrum", *NOMIZU, "--seeds", "2"),
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 0]
+    assert counted == {"builds": 1, "compiles": 1, "compares": 0}
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert counted == {"builds": 1, "compiles": 1, "compares": 0}
+    assert cli.build_family(family_args(*NOMIZU)) is cli.build_family(family_args(*NOMIZU))
+
+
+def test_factory_error_is_not_remembered(capsys, counted):
+    argv = ("spectrum", "--family", "nomizu", "--n", "1")
+    first = run(capsys, *argv)
+    assert first[0] == 2 and first[2].startswith("error: ")
+    assert run(capsys, *argv) == first
+    assert counted["builds"] == 2
+    assert cli._built_family.cache_info().currsize == 0
+
+
+def test_memo_holds_at_most_its_bound(counted):
+    for n in range(2, cli.FAMILY_MEMO_SIZE + 6):
+        cli.build_family(family_args("--family", "linear", "--n", str(n)))
+        assert cli._built_family.cache_info().currsize <= cli.FAMILY_MEMO_SIZE
+    assert cli._built_family.cache_info().currsize == cli.FAMILY_MEMO_SIZE
+
+
+def test_evicted_family_releases_its_geometry(counted):
+    fam = cli.build_family(family_args(*NOMIZU))
+    spectral.sample_level(fam, 0.0)
+    assert len(spectral._geometry_cache) == 1
+    released = weakref.ref(fam)
+    del fam
+    for n in range(2, cli.FAMILY_MEMO_SIZE + 2):
+        cli.build_family(family_args("--family", "linear", "--n", str(n)))
+    gc.collect()
+    assert released() is None
+    assert len(spectral._geometry_cache) == 0
+
+
+def test_benchmark_warm_up_fills_what_requests_hit(capsys, counted):
+    # perfbench/run.py warms up with exactly these calls before it times requests
+    parser = cli.make_parser()
+    family = cli.build_family(parser.parse_args(["spectrum", *NOMIZU]))
+    cli.spectral.sample_level(family, 0.0)
+    assert counted == {"builds": 1, "compiles": 1, "compares": 0}
+    for argv in (("focal", *NOMIZU, "--index", "0"), ("parallel", *NOMIZU, "--travel", "0.3")):
+        assert run(capsys, *argv)[0] == 0
+    assert counted == {"builds": 1, "compiles": 1, "compares": 0}

