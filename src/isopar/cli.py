@@ -111,27 +111,11 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
-def _product(n: int, k: int) -> IsoparametricFamily:
-    """product_family, refusing k = 1 and k = n for n >= 2.
-
-    Those declare a zero multiplicity: the levels are S^0 x S^(n-1), two
-    round spheres, on which spectrum measures p = 1 against the declared 2.
-    n = 1 is built and refused later, as a family in S^1.
-    """
-    if n >= 2 and k in (1, n):
-        zero = "m1 = k - 1" if k == 1 else "m2 = n - k"
-        raise DomainError(
-            f"product(n={n},k={k}) has multiplicity {zero} = 0: its level sets are "
-            "two round spheres, with p = 1, not the declared 2"
-        )
-    return product_family(n, k)
-
-
 # --family name -> (required arguments, factory over their values); each
 # factory looks its builder up by global name when it is called
 FAMILIES = {
     "linear": (("n",), lambda n: linear_family(n)),
-    "product": (("n", "k"), _product),
+    "product": (("n", "k"), lambda n, k: product_family(n, k)),
     "cartan-cubic": (("algebra",), lambda algebra: cartan_cubic(AlgebraTag[algebra])),
     "fkm": (("m", "k"), lambda m, k: fkm_family(build_system(build_generators(m, k)))),
     "nomizu": (("n",), lambda n: nomizu_family(n)),

@@ -93,11 +93,23 @@ def linear_family(n: int) -> IsoparametricFamily:
 
 
 def product_family(n: int, k: int) -> IsoparametricFamily:
-    """F = sum_{i<=k} x_i^2 - sum_{j>k} x_j^2; levels are S^(k-1) x S^(n-k)."""
+    """F = sum_{i<=k} x_i^2 - sum_{j>k} x_j^2; levels are S^(k-1) x S^(n-k).
+
+    For n >= 2, k = 1 and k = n are refused: they declare a zero
+    multiplicity, and the levels are S^0 x S^(n-1), two round spheres, on
+    which a spectrum measures p = 1 against the declared 2.  n = 1 is built;
+    its levels are points of S^1.
+    """
     if n < 1:
         raise DomainError("sphere dimension must be positive")
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
+    if n >= 2 and k in (1, n):
+        zero = "m1 = k - 1" if k == 1 else "m2 = n - k"
+        raise DomainError(
+            f"product(n={n},k={k}) has multiplicity {zero} = 0: its level sets are "
+            "two round spheres, with p = 1, not the declared 2"
+        )
     terms = {}
     for i in range(n + 1):
         mono = [0] * (n + 1)

@@ -15,9 +15,14 @@ instrument.  Given a verified Cartan-Muenzner family it
     are cot(theta_k - t)) and the focal collapse (the parallel map loses
     exactly m_k ranks at theta_k).
 
+A SurfacePoint carries its frame: the unit normal, a tangent basis and the
+shape operator are computed once, when sample_level returns the point or
+parallel_check forms the displaced point, and every check reads them.
+
 Sign convention: the unit normal is xi = +grad_S f / |grad_S f| and every
-report states it, so cot-angle bookkeeping is reproducible.  Flipping the
-normal negates the spectrum.
+report states it, so cot-angle bookkeeping is reproducible.  Orientation is
+handled in parallel_check alone: where the gradient normal of the displaced
+point is opposite the transported normal, it measures the spectrum of -A.
 
 Hessian restriction to the sphere: for homogeneous F and |x| = 1,
 
@@ -168,20 +173,20 @@ def geometry(fam: IsoparametricFamily) -> FamilyGeometry:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A sampled point of M_t: |x| = 1 and F(x) = t to tight tolerance."""
+    """A point of M_t with its frame: |x| = 1 and F(x) = t to tight tolerance.
+
+    xi = +grad_S f / |grad_S f| is the unit normal inside the sphere, the
+    columns of basis are an orthonormal basis of T_x M_t, and shape is the
+    symmetrized shape operator on that basis.
+    """
 
     geometry: FamilyGeometry = field(repr=False)
     x: np.ndarray = field(repr=False)
     t: float
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Unit normal of the level set inside the sphere at a surface point."""
-
-    x: np.ndarray = field(repr=False)
     xi: np.ndarray = field(repr=False)
-    grad_norm: float  # |grad_S f| at x
+    basis: np.ndarray = field(repr=False)  # ambient columns spanning T_x M
+    shape: np.ndarray = field(repr=False)  # symmetric, (n-1) x (n-1)
+    asymmetry: float  # max |A - A^T| before symmetrization
 
 
 @dataclass(frozen=True)
@@ -259,35 +264,31 @@ def sample_level(
             x = x - step
         if not converged:
             continue
-        if np.linalg.norm(geo.sphere_gradient(x)) < 1e-6:
+        g = geo.gradient(x)
+        if np.linalg.norm(g - (g @ x) * x) < 1e-6:
             continue  # critical point of F|S^n, resample
-        return SurfacePoint(geometry=geo, x=x, t=value)
+        return _surface_point(geo, x, value, g)
     raise SamplingError(
         f"no convergent sample on level t = {t} after 12 seeded starts"
     )
 
 
-def normal_frame(pt: SurfacePoint) -> NormalFrame:
-    geo = pt.geometry
-    gs = geo.sphere_gradient(pt.x)
+def _surface_point(geo: FamilyGeometry, x: np.ndarray, t: float, g: np.ndarray) -> SurfacePoint:
+    """The point x of M_t with its frame, from g = grad F(x)."""
+    radial = float(g @ x)
+    gs = g - radial * x  # grad_S f
     norm = float(np.linalg.norm(gs))
     if norm < 1e-9:
         raise PreconditionError("gradient on the sphere degenerates at this point")
-    return NormalFrame(x=pt.x, xi=gs / norm, grad_norm=norm)
-
-
-def tangent_basis(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {v : v . x = 0, v . xi = 0}, deterministic via QR.
-
-    Q is orthonormal with its first two columns spanning {x, xi}, so the
-    remaining n - 2 columns are automatically a basis of the tangent space.
-    """
-    n = len(x)
-    M = np.column_stack([x, xi, np.eye(n)])
-    Q, R = np.linalg.qr(M)
+    xi = gs / norm
+    # Q is orthonormal with its first two columns spanning {x, xi}, so the
+    # remaining n - 2 columns are a basis of the tangent space, deterministic
+    Q, R = np.linalg.qr(np.column_stack([x, xi, np.eye(len(x))]))
     if abs(R[1, 1]) < 1e-10:
         raise PreconditionError("normal direction degenerates against the position")
-    return Q[:, 2:n]
+    basis = Q[:, 2:]
+    shape, asymmetry = shape_operator(geo, x, basis, radial, norm)
+    return SurfacePoint(geo, x, t, xi, basis, shape, asymmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -295,35 +296,24 @@ def tangent_basis(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShapeOperator:
-    matrix: np.ndarray = field(repr=False)  # symmetric, (n-1) x (n-1)
-    basis: np.ndarray = field(repr=False)  # ambient columns spanning T_x M
-    frame: NormalFrame
-    asymmetry: float  # max |A - A^T| before symmetrization
+def shape_operator(
+    geo: FamilyGeometry, x: np.ndarray, basis: np.ndarray, radial: float, grad_norm: float
+) -> tuple[np.ndarray, float]:
+    """A = -(Hess F - <grad F, x> Id)|_T / |grad_S f| on span(basis), symmetrized.
 
-
-def shape_operator(pt: SurfacePoint, flip_normal: bool = False) -> ShapeOperator:
-    """A = -(Hess F - <grad F, x> Id)|_T / |grad_S f| on the tangent space."""
-    geo = pt.geometry
-    frame = normal_frame(pt)
-    xi = -frame.xi if flip_normal else frame.xi
-    B = tangent_basis(pt.x, frame.xi)
-    H = geo.hessian(pt.x)
-    radial = float(geo.gradient(pt.x) @ pt.x)
-    Ht = B.T @ H @ B - radial * np.eye(B.shape[1])
-    sign = -1.0 if flip_normal else 1.0
-    A = -(Ht) / (sign * frame.grad_norm)
+    radial is <grad F, x> and grad_norm is |grad_S f|.  Returns the
+    symmetrized A and its asymmetry max |A - A^T|, which must not exceed 1e-8.
+    """
+    Ht = basis.T @ geo.hessian(x) @ basis - radial * np.eye(basis.shape[1])
+    A = -(Ht) / grad_norm
     asym = float(np.max(np.abs(A - A.T)))
     if asym > 1e-8:
         raise PreconditionError(f"shape operator asymmetry {asym} exceeds 1e-8")
-    A = 0.5 * (A + A.T)
-    reported = NormalFrame(x=pt.x, xi=xi, grad_norm=frame.grad_norm)
-    return ShapeOperator(matrix=A, basis=B, frame=reported, asymmetry=asym)
+    return 0.5 * (A + A.T), asym
 
 
-def principal_curvatures(pt: SurfacePoint, flip_normal: bool = False) -> np.ndarray:
-    return np.linalg.eigvalsh(shape_operator(pt, flip_normal=flip_normal).matrix)
+def principal_curvatures(pt: SurfacePoint) -> np.ndarray:
+    return np.linalg.eigvalsh(pt.shape)
 
 
 def cluster_spectrum(eigenvalues, tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
@@ -450,32 +440,35 @@ def parallel_check(
     """Displace pt by angle ``travel`` along the normal geodesic and compare.
 
     The displaced surface must show curvatures cot(theta_k - travel) and the
-    new level value must equal cos(p (theta_1 - travel)).
+    new level value must equal cos(p (theta_1 - travel)).  The parallel map
+    is 2 pi-periodic, so the computation uses travel reduced mod 2 pi, which
+    is exact and leaves |travel| <= pi unchanged; the report states travel
+    as given.
     """
+    angle = math.remainder(travel, 2 * math.pi)
     base = spectrum_at(pt)
-    if _focal_distance(travel, base.thetas) < 1e-6:
+    if _focal_distance(angle, base.thetas) < 1e-6:
         raise FocalAngleError(
             f"travel angle {travel} is a focal angle; the parallel map collapses"
         )
     geo = pt.geometry
-    frame = normal_frame(pt)
-    x_t = math.cos(travel) * pt.x + math.sin(travel) * frame.xi
-    xi_t = -math.sin(travel) * pt.x + math.cos(travel) * frame.xi
+    x_t = math.cos(angle) * pt.x + math.sin(angle) * pt.xi
+    xi_t = -math.sin(angle) * pt.x + math.cos(angle) * pt.xi
 
     end_level = float(geo.value(x_t))
     theta1 = base.thetas[0]
-    predicted_level = math.cos(base.p * (theta1 - travel))
+    predicted_level = math.cos(base.p * (theta1 - angle))
     level_ok = abs(end_level - predicted_level) <= 1e-6
 
-    new_pt = SurfacePoint(geometry=geo, x=x_t, t=end_level)
-    # keep the transported orientation: flip if the gradient normal reversed
-    gs = geo.sphere_gradient(x_t)
-    flip = bool(gs @ xi_t < 0)
-    measured = np.linalg.eigvalsh(shape_operator(new_pt, flip_normal=flip).matrix)
+    new_pt = _surface_point(geo, x_t, end_level, geo.gradient(x_t))
+    # keep the transported orientation: where the gradient normal reversed,
+    # the shape operator of the transported normal is -A
+    shape = -new_pt.shape if new_pt.xi @ xi_t < 0 else new_pt.shape
+    measured = np.linalg.eigvalsh(shape)
 
     predicted = []
     for theta, (_, mult) in zip(base.thetas, base.clusters):
-        predicted.extend([1.0 / math.tan(theta - travel)] * mult)
+        predicted.extend([1.0 / math.tan(theta - angle)] * mult)
     predicted = np.array(sorted(predicted))
     max_err = float(np.max(np.abs(predicted - np.sort(measured))))
     return ParallelReport(
@@ -524,8 +517,6 @@ def parallel_map_rank(pt: SurfacePoint, angle: float) -> tuple[int, np.ndarray]:
     step sizes when the singular spectrum has no clean gap at the threshold.
     """
     geo = pt.geometry
-    frame = normal_frame(pt)
-    B = tangent_basis(pt.x, frame.xi)
 
     def xi_at(y: np.ndarray) -> np.ndarray:
         y = y / np.linalg.norm(y)
@@ -534,11 +525,10 @@ def parallel_map_rank(pt: SurfacePoint, angle: float) -> tuple[int, np.ndarray]:
 
     for step in (FD_STEP, FD_STEP * 10, FD_STEP / 10):
         cols = []
-        for idx in range(B.shape[1]):
-            v = B[:, idx]
+        for v in pt.basis.T:
             dxi = (xi_at(pt.x + step * v) - xi_at(pt.x - step * v)) / (2 * step)
             cols.append(math.cos(angle) * v + math.sin(angle) * dxi)
-        cols.append(-math.sin(angle) * pt.x + math.cos(angle) * frame.xi)
+        cols.append(-math.sin(angle) * pt.x + math.cos(angle) * pt.xi)
         J = np.column_stack(cols)
         sv = np.linalg.svd(J, compute_uv=False)
         null = int(np.sum(sv < SV_THRESHOLD))

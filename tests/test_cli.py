@@ -137,6 +137,25 @@ def test_parallel_command(capsys):
     assert json.loads(out)["result"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("--family", "cartan-cubic", "--algebra", "R"),
+        ("--family", "fkm", "--m", "2", "--k", "2", "--t", "0.2"),
+    ],
+    ids=["cartan-R", "fkm(2,2)"],
+)
+def test_parallel_large_travel_is_reduced_mod_two_pi(capsys, family):
+    # cos(p (theta_1 - 1e9)) and cot(theta_k - 1e9) lose their digits
+    # unless the travel is first reduced by the period 2 pi of the map
+    code, out, _ = run(capsys, "parallel", *family, "--travel", "1e9")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["ok"] is True
+    assert result["travel"] == 1e9
+    assert result["max_curvature_error"] < 1e-12
+
+
 def test_focal_command(capsys):
     code, out, _ = run(
         capsys, "focal", "--family", "product", "--n", "7", "--k", "4",

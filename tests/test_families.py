@@ -27,7 +27,7 @@ def all_small_families():
     yield linear_family(7)
     yield linear_family(2)
     yield product_family(7, 4)
-    yield product_family(2, 1)
+    yield product_family(3, 2)
     yield cartan_cubic(AlgebraTag.R)
     yield cartan_cubic(AlgebraTag.C)
     yield fkm_family(build_system(build_generators(2, 2)))
@@ -60,8 +60,8 @@ def test_product_family_shape():
 
 
 def test_product_family_small_instance():
-    fam = product_family(2, 1)
-    assert fam.F == Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1})
+    fam = product_family(3, 2)
+    assert fam.F == Poly(4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): -1, (0, 0, 0, 2): -1})
 
 
 def test_product_family_level_split():
@@ -82,6 +82,10 @@ def test_product_family_rejects_bad_k():
         product_family(7, 0)
     with pytest.raises(DomainError):
         product_family(7, 8)
+    # k = 1 and k = n declare a zero multiplicity
+    for n, k in ((2, 1), (3, 1), (3, 3), (7, 1), (7, 7)):
+        with pytest.raises(DomainError, match="multiplicity"):
+            product_family(n, k)
 
 
 # ---------------------------------------------------------------------------

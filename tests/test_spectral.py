@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import reference_spectral as ref
 
-from isopar import spectral
+from isopar import cli, spectral
 from isopar.clifford import build_generators, build_system
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import (
@@ -99,17 +100,28 @@ def test_cartan_r_curvatures_at_zero():
     assert np.allclose(eigs, expected, atol=1e-9)
 
 
-def test_normal_flip_negates_spectrum():
+def test_parallel_check_reverses_orientation_past_a_focal_angle():
+    # between theta_1 and theta_2 the gradient normal of the displaced point
+    # is opposite the transported normal, so parallel_check measures -A there
     pt = spectral.sample_level(FKM22, 0.2, seed=9)
-    eigs = np.sort(spectral.principal_curvatures(pt))
-    flipped = np.sort(spectral.principal_curvatures(pt, flip_normal=True))
-    assert np.allclose(np.sort(-eigs), flipped, atol=1e-10)
+    spec = spectral.spectrum_at(pt)
+    travel = spec.thetas[0] + math.pi / (2 * spec.p)
+    x_t = math.cos(travel) * pt.x + math.sin(travel) * pt.xi
+    xi_t = -math.sin(travel) * pt.x + math.cos(travel) * pt.xi
+    geo = pt.geometry
+    gs = geo.sphere_gradient(x_t)
+    assert gs @ xi_t < -0.99 * np.linalg.norm(gs)
+    report = spectral.parallel_check(pt, travel)
+    assert report.ok
+    assert report.max_curvature_error < 1e-9
+    # the spectrum along the gradient normal of the displaced point, negated
+    along_gradient = ref.principal_curvatures(ref.Point(geo, x_t, geo.value(x_t)))
+    assert np.allclose(report.measured_curvatures, np.sort(-along_gradient), atol=1e-10)
 
 
 def test_shape_operator_matches_finite_difference_weingarten():
     # independent oracle: A v = -d xi [v], differentiated numerically
     pt = spectral.sample_level(CARTAN_R, 0.1, seed=11)
-    op = spectral.shape_operator(pt)
     geo = spectral.geometry(CARTAN_R)
 
     def xi_at(y):
@@ -117,19 +129,19 @@ def test_shape_operator_matches_finite_difference_weingarten():
         g = geo.sphere_gradient(y)
         return g / np.linalg.norm(g)
 
-    B = op.basis
+    B = pt.basis
     eps = 1e-6
-    A_fd = np.zeros_like(op.matrix)
+    A_fd = np.zeros_like(pt.shape)
     for j in range(B.shape[1]):
         v = B[:, j]
         dxi = (xi_at(pt.x + eps * v) - xi_at(pt.x - eps * v)) / (2 * eps)
         A_fd[:, j] = -(B.T @ dxi)
-    assert np.max(np.abs(A_fd - op.matrix)) < 1e-6
+    assert np.max(np.abs(A_fd - pt.shape)) < 1e-6
 
 
 def test_shape_operator_asymmetry_is_tiny():
     pt = spectral.sample_level(FKM22, 0.3, seed=13)
-    assert spectral.shape_operator(pt).asymmetry <= 1e-8
+    assert pt.asymmetry <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +329,82 @@ def test_spectrum_report_is_deterministic():
     a = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     b = spectral.spectrum_report(PRODUCT, 0.2, num_seeds=3)
     assert a.to_dict() == b.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the frame of a point against the former per-request route
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fkm_family(build_system(build_generators(9, 1))),
+        lambda: cartan_cubic(AlgebraTag.O),
+        lambda: nomizu_family(7),
+        lambda: product_family(7, 4),
+    ],
+    ids=["fkm(9,1)", "cartan-O", "nomizu(7)", "product(7,4)"],
+)
+def test_point_frame_matches_the_reference_route_bit_for_bit(build):
+    fam = build()
+    for t in (0.0, 0.2, -0.45):
+        pt = spectral.sample_level(fam, t, seed=3)
+        eigs = spectral.principal_curvatures(pt)
+        assert np.array_equal(eigs, ref.principal_curvatures(pt))
+        spec = spectral.spectrum_at(pt)
+        # midway between theta_p - pi and theta_1 the displaced point keeps
+        # the transported normal; midway between theta_1 and theta_2 it flips
+        half = math.pi / (2 * spec.p)
+        for travel, flipped in ((spec.thetas[0] - half, False), (spec.thetas[0] + half, True)):
+            measured, flip = ref.parallel_measured(pt, travel)
+            assert flip is flipped
+            report = spectral.parallel_check(pt, travel)
+            assert report.ok
+            assert report.measured_curvatures == measured
+        for k in range(spec.p):
+            sv = spectral.focal_check(pt, k).singular_values
+            assert sv == ref.focal_singular_values(pt, k)
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (("focal", "--t", "0.2", "--index", "0"), 1),
+        (("parallel", "--t", "0.2", "--travel", "0.3"), 2),
+        (("spectrum", "--t", "0.2", "--seeds", "20"), 20),
+    ],
+    ids=["focal", "parallel", "spectrum-20"],
+)
+def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points):
+    # a sampled or displaced point gets one Hessian and one QR, and no
+    # gradient is evaluated twice at the same x within a request
+    calls = {"gradient": [], "hessian": [], "qr": 0}
+    gradient, hessian = spectral.FamilyGeometry.gradient, spectral.FamilyGeometry.hessian
+    qr = np.linalg.qr
+
+    def counted_gradient(self, x):
+        calls["gradient"].append(x.tobytes())
+        return gradient(self, x)
+
+    def counted_hessian(self, x):
+        calls["hessian"].append(x.tobytes())
+        return hessian(self, x)
+
+    def counted_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.FamilyGeometry, "gradient", counted_gradient)
+    monkeypatch.setattr(spectral.FamilyGeometry, "hessian", counted_hessian)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    code = cli.main([argv[0], "--family", "fkm", "--m", "9", "--k", "1", *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls["hessian"]) == len(set(calls["hessian"])) == points
+    assert calls["qr"] == points
+    repeats = len(calls["gradient"]) - len(set(calls["gradient"]))
+    assert repeats == 0
 
 
 # ---------------------------------------------------------------------------
