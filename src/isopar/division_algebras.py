@@ -7,24 +7,21 @@ Multiplication is built by Cayley-Dickson doubling,
 starting from R, so the quaternion and octonion tables are deterministic
 and self-testable.  ``cayley_dickson_mul`` is generic over the coefficient
 ring: it only needs ``+``, ``-`` and ``*``, so the same recursion that
-multiplies exact rational elements also multiplies vectors of polynomials
-when the Cartan cubic factory expands re(x y z) symbolically.  On units the
-doubling only moves signs, e_i e_j = +-e_(i xor j), so
+multiplies vectors of exact rationals also multiplies vectors of
+polynomials when the Cartan cubic factory expands re(x y z) symbolically.
+On units the doubling only moves signs, e_i e_j = +-e_(i xor j), so
 ``structure_constants`` doubles a sign table instead of multiplying unit
 vectors.  Left multiplication by a unit is therefore a signed permutation
 of the basis, and ``clifford`` reads its generators straight off this
 table.
 
-Conjugation negates every coordinate except the first, the real part is
-the first coordinate, and norm2 is the coordinate sum of squares; these
-agree with re(a conj(a)) by construction.
+Conjugation negates every coordinate except the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import StructureError
@@ -64,75 +61,6 @@ def cayley_dickson_mul(x: Sequence, y: Sequence) -> list:
     da = cayley_dickson_mul(d, a)
     bc = cayley_dickson_mul(b, conj_vec(c))
     return [p - q for p, q in zip(ac, db)] + [p + q for p, q in zip(da, bc)]
-
-
-@dataclass(frozen=True)
-class AlgElem:
-    """An element of R, C, H or O with exact rational coordinates."""
-
-    tag: AlgebraTag
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.tag.dim:
-            raise StructureError(
-                f"{self.tag.name} element needs {self.tag.dim} coordinates"
-            )
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-
-    @classmethod
-    def zero(cls, tag: AlgebraTag) -> "AlgElem":
-        return cls(tag, (0,) * tag.dim)
-
-    @classmethod
-    def one(cls, tag: AlgebraTag) -> "AlgElem":
-        return cls.basis(tag, 0)
-
-    @classmethod
-    def basis(cls, tag: AlgebraTag, index: int) -> "AlgElem":
-        if not 0 <= index < tag.dim:
-            raise StructureError(f"basis index {index} out of range for {tag.name}")
-        coeffs = [0] * tag.dim
-        coeffs[index] = 1
-        return cls(tag, tuple(coeffs))
-
-    def _check(self, other: "AlgElem") -> None:
-        if self.tag is not other.tag:
-            raise StructureError(f"algebra mismatch: {self.tag.name} vs {other.tag.name}")
-
-    def __add__(self, other: "AlgElem") -> "AlgElem":
-        self._check(other)
-        return AlgElem(self.tag, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "AlgElem") -> "AlgElem":
-        self._check(other)
-        return AlgElem(self.tag, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "AlgElem":
-        return AlgElem(self.tag, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "AlgElem") -> "AlgElem":
-        self._check(other)
-        return AlgElem(self.tag, tuple(cayley_dickson_mul(self.coeffs, other.coeffs)))
-
-    def scale(self, value) -> "AlgElem":
-        v = Fraction(value)
-        return AlgElem(self.tag, tuple(c * v for c in self.coeffs))
-
-    def conj(self) -> "AlgElem":
-        return AlgElem(self.tag, tuple(conj_vec(self.coeffs)))
-
-    @property
-    def re(self) -> Fraction:
-        return self.coeffs[0]
-
-    def norm2(self) -> Fraction:
-        return sum(c * c for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ The polynomial side of the package is exact; this module is the measuring
 instrument.  Given a verified Cartan-Muenzner family it
 
   * samples points of a level set by Gauss-Newton iteration on the pair
-    (F(x) - t, |x|^2 - 1),
+    (F(x) - t, |x|^2 - 1), one gradient evaluation per step,
   * assembles the shape operator A = -(tangential Hessian)/|grad_S f| from
     exact polynomial second derivatives evaluated at the point,
   * clusters the eigenvalues into principal curvatures with multiplicities
@@ -30,12 +30,15 @@ Hessian restriction to the sphere: for homogeneous F and |x| = 1,
 
 the correction being the second fundamental form of S^n in R^(n+1).
 
-Every measurement evaluates F and its derivatives through the family's
-FamilyGeometry, compiled on the first request.  The cache that holds it is
-keyed weakly on the family object, so the compiled tables live exactly as
-long as the family does and the module keeps no family alive.  The
-geometry therefore holds no reference back to its family: a value that
-held its weak key would keep the key, and itself, alive for good.
+Every measurement evaluates grad F and Hess F through the family's
+FamilyGeometry, compiled on the first request.  F is homogeneous of degree
+p, so F(x) = <x, grad F(x)> / p by Euler's identity: sampling and the end
+level of a parallel surface read F off the gradient they need anyway.
+The cache that holds the geometry is keyed weakly on the family object, so
+the compiled tables live exactly as long as the family does and the module
+keeps no family alive.  The geometry therefore holds no reference back to
+its family: a value that held its weak key would keep the key, and itself,
+alive for good.
 """
 
 from __future__ import annotations
@@ -113,29 +116,30 @@ def _float(a: int, b: int, den: int) -> float:
 
 
 class FamilyGeometry:
-    """F, grad F and the upper triangle of Hess F of one family as tables.
+    """grad F and the upper triangle of Hess F of one family as tables.
 
-    The tables come from the exact terms of F by exponent arithmetic: the
-    partial d/dx_i of c x^e is (c e_i) x^(e - e_i), the coefficient being
-    multiplied out on the integer numerators of c before its one rounding
-    to float.  A table row is a monomial with its output slot (0 for F, i
-    for dF/dx_i, i n + j for the Hessian entry i <= j).  Evaluating a table
-    gathers the point at each column of variable indices, multiplies the
-    columns left to right into one product per row, scales it by the
-    coefficients and scatter-adds it into the slots.  numpy's multiply
-    reduction along a row also runs left to right from the first factor, so
-    the values are bit-identical to coeffs * np.prod(point[rows], axis=1);
-    that reduction over 2- to 4-wide rows takes about 3 times as long on the
-    fkm(9,1) gradient and Hessian.
+    F itself has no table; it is read off the gradient by Euler's identity,
+    with the degree p held here.  The tables come from the exact terms of F
+    by exponent arithmetic: the partial d/dx_i of c x^e is (c e_i)
+    x^(e - e_i), the coefficient being multiplied out on the integer
+    numerators of c before its one rounding to float.  A table row is a monomial with its
+    output slot (i for dF/dx_i, i n + j for the Hessian entry i <= j).
+    Evaluating a table gathers the point at each column of variable
+    indices, multiplies the columns left to right into one product per row,
+    scales it by the coefficients and scatter-adds it into the slots.
+    numpy's multiply reduction along a row also runs left to right from the
+    first factor, so the values are bit-identical to
+    coeffs * np.prod(point[rows], axis=1); that reduction over 2- to 4-wide
+    rows takes about 3 times as long on the fkm(9,1) gradient and Hessian.
     """
 
     def __init__(self, fam: IsoparametricFamily):
         n = self.n_amb = fam.ambient_dim
+        self.degree = fam.p
         den, terms = fam.F.numerators()
-        value, grad, hess = [], [], []
+        grad, hess = [], []
         for mono, a, b in terms:
             vs = [v for v, e in enumerate(mono) for _ in range(e)]
-            value.append((0, _float(a, b, den), vs))
             for i in dict.fromkeys(vs):
                 di = _drop(vs, i)
                 grad.append((i, _float(a * mono[i], b * mono[i], den), di))
@@ -143,12 +147,8 @@ class FamilyGeometry:
                     if j >= i:
                         k = mono[i] * di.count(j)
                         hess.append((i * n + j, _float(a * k, b * k, den), _drop(di, j)))
-        self._value = _table(value, n)
         self._grad = _table(grad, n)
         self._hess = _table(hess, n)
-
-    def value(self, x: np.ndarray) -> float:
-        return float(_evaluate(self._value, x, 1)[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return _evaluate(self._grad, x, self.n_amb)
@@ -243,34 +243,47 @@ def sample_level(
             f"levels are sampled only at |t| <= {LEVEL_GUARD}"
         )
     geo = geometry(fam)
-    n = geo.n_amb
     rng = np.random.default_rng(seed)
     for _attempt in range(12):
-        x = rng.normal(size=n)
-        x /= np.linalg.norm(x)
-        converged = False
-        for _ in range(NEWTON_MAX_ITERATIONS):
-            value = geo.value(x)
-            r = np.array([value - t, x @ x - 1.0])
-            if float(np.max(np.abs(r))) < NEWTON_RESIDUAL_TOL:
-                converged = True
-                break
-            J = np.vstack([geo.gradient(x), 2.0 * x])
-            JJt = J @ J.T
-            try:
-                step = J.T @ np.linalg.solve(JJt, r)
-            except np.linalg.LinAlgError:
-                break
-            x = x - step
-        if not converged:
+        x = rng.normal(size=geo.n_amb)
+        projected = _project(geo, x / np.linalg.norm(x), t)
+        if projected is None:
             continue
-        g = geo.gradient(x)
+        x, g, value = projected
         if np.linalg.norm(g - (g @ x) * x) < 1e-6:
             continue  # critical point of F|S^n, resample
         return _surface_point(geo, x, value, g)
     raise SamplingError(
         f"no convergent sample on level t = {t} after 12 seeded starts"
     )
+
+
+def _project(geo: FamilyGeometry, x: np.ndarray, t: float):
+    """Gauss-Newton from x onto the pair (F(x) - t, |x|^2 - 1) = 0.
+
+    Returns (x, grad F(x), F(x)) at the first x whose residuals are both
+    below NEWTON_RESIDUAL_TOL, or None when the steps run out or the normal
+    matrix is singular.  Each step evaluates one table: F(x) = <x, g> / p
+    by Euler's identity, and the Jacobian has the rows g and 2x, so
+    J J^T = [[g.g, 2 g.x], [2 g.x, 4 x.x]] is solved in closed form and the
+    step J^T (J J^T)^-1 r is a g + 2 b x.
+    """
+    p = geo.degree
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        g = geo.gradient(x)
+        gx, xx = float(g @ x), float(x @ x)
+        value = gx / p
+        rf, rs = value - t, xx - 1.0
+        if abs(rf) < NEWTON_RESIDUAL_TOL and abs(rs) < NEWTON_RESIDUAL_TOL:
+            return x, g, value
+        gg = float(g @ g)
+        det = gg * xx - gx * gx  # det(J J^T) / 4
+        if not det > 0:  # zero, negative by rounding, or NaN
+            return None
+        a = (xx * rf - 0.5 * gx * rs) / det
+        b = (0.25 * gg * rs - 0.5 * gx * rf) / det
+        x = x - a * g - (2.0 * b) * x
+    return None
 
 
 def _surface_point(geo: FamilyGeometry, x: np.ndarray, t: float, g: np.ndarray) -> SurfacePoint:
@@ -455,12 +468,13 @@ def parallel_check(
     x_t = math.cos(angle) * pt.x + math.sin(angle) * pt.xi
     xi_t = -math.sin(angle) * pt.x + math.cos(angle) * pt.xi
 
-    end_level = float(geo.value(x_t))
+    g_t = geo.gradient(x_t)
+    end_level = float(g_t @ x_t) / geo.degree
     theta1 = base.thetas[0]
     predicted_level = math.cos(base.p * (theta1 - angle))
     level_ok = abs(end_level - predicted_level) <= 1e-6
 
-    new_pt = _surface_point(geo, x_t, end_level, geo.gradient(x_t))
+    new_pt = _surface_point(geo, x_t, end_level, g_t)
     # keep the transported orientation: where the gradient normal reversed,
     # the shape operator of the transported normal is -A
     shape = -new_pt.shape if new_pt.xi @ xi_t < 0 else new_pt.shape

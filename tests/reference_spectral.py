@@ -1,11 +1,19 @@
-"""Reference frame route: a normal frame and a shape operator per request.
+"""Reference routes: the two-table Gauss-Newton loop and the per-request frame.
 
-This is the route ``isopar.spectral`` used before a sampled point carried its
-own frame.  Every check derived the unit normal again (``normal_frame``),
-ran a QR for the tangent basis and evaluated the Hessian, and the reversed
-orientation of a displaced point was the ``flip_normal`` argument of
-``shape_operator``.  It is kept unchanged as the oracle test_spectral.py
-compares against.  It is not part of the package: nothing under ``src/``
+``sample_level`` is the loop ``isopar.spectral`` used before a step read
+F(x) off the gradient by Euler's identity.  Each step evaluated F and grad F
+separately, solved the 2 x 2 normal equations with ``np.linalg.solve`` and,
+once converged, evaluated the gradient again.  F is read here from the
+exact polynomial, ``fam.F.evaluate_float``, because the geometry no longer
+holds a value table.  The point it returns is built by the package's
+``_surface_point``, so only the projection differs between the two routes.
+
+The rest is the frame route ``isopar.spectral`` used before a sampled point
+carried its own frame.  Every check derived the unit normal again
+(``normal_frame``), ran a QR for the tangent basis and evaluated the
+Hessian, and the reversed orientation of a displaced point was the
+``flip_normal`` argument of ``shape_operator``.  Both routes are kept as
+the oracles test_spectral.py compares against.  It is not part of the package: nothing under ``src/``
 imports it.
 
 A ``Point`` is the former ``SurfacePoint``: position and level only.  The
@@ -20,8 +28,60 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from isopar.errors import PreconditionError, SamplingError
-from isopar.spectral import FD_STEP, SV_THRESHOLD, FamilyGeometry, cluster_spectrum
+from isopar import spectral
+from isopar.errors import DomainError, PreconditionError, SamplingError
+from isopar.spectral import (
+    DEFAULT_SEED,
+    FD_STEP,
+    LEVEL_GUARD,
+    NEWTON_MAX_ITERATIONS,
+    NEWTON_RESIDUAL_TOL,
+    SV_THRESHOLD,
+    FamilyGeometry,
+    cluster_spectrum,
+)
+
+
+def sample_level(fam, t: float, seed: int = DEFAULT_SEED, allow_extreme: bool = False):
+    """Newton-project a seeded random start onto {F = t} intersect S^n."""
+    if fam.ambient_dim < 3:
+        raise DomainError(f"{fam.name}: level sets in S^1 are points, with no shape operator")
+    if not -1.0 < t < 1.0:
+        raise DomainError(f"level t must lie in (-1, 1), got {t}")
+    if abs(t) > LEVEL_GUARD and not allow_extreme:
+        raise DomainError(
+            f"|t| = {abs(t)} is inside the focal guard band: "
+            f"levels are sampled only at |t| <= {LEVEL_GUARD}"
+        )
+    geo = spectral.geometry(fam)
+    n = geo.n_amb
+    rng = np.random.default_rng(seed)
+    for _attempt in range(12):
+        x = rng.normal(size=n)
+        x /= np.linalg.norm(x)
+        converged = False
+        for _ in range(NEWTON_MAX_ITERATIONS):
+            value = fam.F.evaluate_float([float(v) for v in x])
+            r = np.array([value - t, x @ x - 1.0])
+            if float(np.max(np.abs(r))) < NEWTON_RESIDUAL_TOL:
+                converged = True
+                break
+            J = np.vstack([geo.gradient(x), 2.0 * x])
+            JJt = J @ J.T
+            try:
+                step = J.T @ np.linalg.solve(JJt, r)
+            except np.linalg.LinAlgError:
+                break
+            x = x - step
+        if not converged:
+            continue
+        g = geo.gradient(x)
+        if np.linalg.norm(g - (g @ x) * x) < 1e-6:
+            continue  # critical point of F|S^n, resample
+        return spectral._surface_point(geo, x, value, g)
+    raise SamplingError(
+        f"no convergent sample on level t = {t} after 12 seeded starts"
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +161,8 @@ def parallel_measured(pt, travel: float) -> tuple[tuple, bool]:
     frame = normal_frame(pt)
     x_t = math.cos(travel) * pt.x + math.sin(travel) * frame.xi
     xi_t = -math.sin(travel) * pt.x + math.cos(travel) * frame.xi
-    new_pt = Point(geometry=geo, x=x_t, t=float(geo.value(x_t)))
+    # the level of x_t is never read here; Euler's identity gives it
+    new_pt = Point(geometry=geo, x=x_t, t=float(geo.gradient(x_t) @ x_t) / geo.degree)
     # keep the transported orientation: flip if the gradient normal reversed
     gs = geo.sphere_gradient(x_t)
     flip = bool(gs @ xi_t < 0)

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from alg_elem import AlgElem
 
 from isopar import spectral
 from isopar.catalog import (
@@ -29,7 +30,7 @@ from isopar.clifford import (
     validate_system,
 )
 from isopar.cm_verifier import verify_cm
-from isopar.division_algebras import AlgebraTag, AlgElem
+from isopar.division_algebras import AlgebraTag
 from isopar.families import (
     IsoparametricFamily,
     cartan_cubic,

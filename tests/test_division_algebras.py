@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from alg_elem import AlgElem
 
 from isopar.division_algebras import (
     AlgebraTag,
-    AlgElem,
     cayley_dickson_mul,
     structure_constants,
 )

@@ -14,6 +14,7 @@ from isopar.errors import (
     FocalAngleError,
     InstabilityError,
     PreconditionError,
+    SamplingError,
 )
 from isopar.families import (
     cartan_cubic,
@@ -49,8 +50,7 @@ def test_sample_product_level_zero():
 def test_sample_cartan_r_levels():
     for seed in (1, 2, 3):
         pt = spectral.sample_level(CARTAN_R, 0.0, seed=seed)
-        geo = spectral.geometry(CARTAN_R)
-        assert abs(geo.value(pt.x)) < 1e-12
+        assert abs(CARTAN_R.F.evaluate_float(list(pt.x))) < 1e-12
         assert abs(float(pt.x @ pt.x) - 1.0) < 1e-12
 
 
@@ -72,6 +72,111 @@ def test_sample_rejects_focal_levels():
     # the guard band can be overridden explicitly
     pt = spectral.sample_level(PRODUCT, 0.97, seed=1, allow_extreme=True)
     assert abs(pt.t - 0.97) < 1e-10
+
+
+BUILDERS = {
+    "fkm(9,1)": lambda: fkm_family(build_system(build_generators(9, 1))),
+    "fkm(9,2)": lambda: fkm_family(build_system(build_generators(9, 2))),
+    "fkm(2,2)": lambda: FKM22,
+    "cartan-O": lambda: cartan_cubic(AlgebraTag.O),
+    "cartan-R": lambda: CARTAN_R,
+    "nomizu(7)": lambda: nomizu_family(7),
+    "product(7,4)": lambda: PRODUCT,
+    "linear(5)": lambda: linear_family(5),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["fkm(9,1)", "cartan-O", "nomizu(7)", "product(7,4)", "fkm(2,2)"]
+)
+def test_sample_level_matches_the_two_table_reference_loop(name):
+    # same seed, same start: the Euler read and the closed-form 2 x 2 solve
+    # land where the value table and np.linalg.solve landed
+    fam = BUILDERS[name]()
+    for t in (-0.45, 0.0, 0.2, 0.55):
+        pt = spectral.sample_level(fam, t, seed=7)
+        old = ref.sample_level(fam, t, seed=7)
+        assert np.max(np.abs(pt.x - old.x)) <= 1e-12
+        assert abs(pt.t - old.t) <= 1e-12
+        new_spec, old_spec = spectral.spectrum_at(pt), spectral.spectrum_at(old)
+        assert new_spec.p == old_spec.p
+        assert new_spec.multiplicities == old_spec.multiplicities
+        eigs, old_eigs = spectral.principal_curvatures(pt), spectral.principal_curvatures(old)
+        assert np.max(np.abs(eigs - old_eigs)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fkm(9,1)", "fkm(9,2)", "cartan-O", "cartan-R", "nomizu(7)", "product(7,4)", "linear(5)"],
+)
+def test_sampled_points_lie_on_the_level_by_the_exact_polynomial(name):
+    # independent witness: the exact F, not the gradient the loop reads F from
+    fam = BUILDERS[name]()
+    for t in (-0.99, 0.0, 0.95, 0.99):
+        for seed in (1, 2):
+            pt = spectral.sample_level(fam, t, seed=seed, allow_extreme=abs(t) > 0.95)
+            assert abs(fam.F.evaluate_float(list(pt.x)) - t) <= 1e-12
+            assert abs(float(pt.x @ pt.x) - 1.0) <= 1e-12
+
+
+def _counted_evaluations(monkeypatch, geo):
+    """Record (table, x) for every table evaluation: "grad", "hess" or "other"."""
+    calls = []
+    evaluate = spectral._evaluate
+
+    def counted(table, x, size):
+        kind = {id(geo._grad): "grad", id(geo._hess): "hess"}.get(id(table), "other")
+        calls.append((kind, x.tobytes()))
+        return evaluate(table, x, size)
+
+    monkeypatch.setattr(spectral, "_evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fkm(9,1)", "cartan-O", "product(7,4)"])
+def test_each_newton_step_evaluates_one_table(monkeypatch, name):
+    fam = BUILDERS[name]()
+    calls = _counted_evaluations(monkeypatch, spectral.geometry(fam))
+    for t in (-0.45, 0.2):
+        calls.clear()
+        pt = spectral.sample_level(fam, t, seed=5)
+        steps = [x for kind, x in calls if kind == "grad"]
+        # each iterate is evaluated once, the converged one included, and
+        # the frame adds one Hessian at the returned point
+        assert len(steps) > 1 and len(set(steps)) == len(steps)
+        assert steps[-1] == pt.x.tobytes()
+        assert calls[-1] == ("hess", pt.x.tobytes())
+        assert len(calls) == len(steps) + 1
+
+
+def test_parallel_check_evaluates_one_gradient_and_one_hessian(monkeypatch):
+    fam = BUILDERS["fkm(9,1)"]()
+    pt = spectral.sample_level(fam, 0.2, seed=3)
+    calls = _counted_evaluations(monkeypatch, pt.geometry)
+    report = spectral.parallel_check(pt, 0.3)
+    assert report.ok
+    assert [kind for kind, _ in calls] == ["grad", "hess"]
+    (_, x_t), (_, hess_x) = calls
+    assert x_t == hess_x
+    level = fam.F.evaluate_float(list(np.frombuffer(x_t)))
+    assert report.end_level == pytest.approx(level, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "gradient",
+    [lambda x: 4.0 * x, lambda x: np.full_like(x, np.nan)],
+    ids=["radial", "nan"],
+)
+def test_degenerate_steps_end_in_sampling_error(monkeypatch, capsys, gradient):
+    # a radial gradient makes J J^T singular with determinant exactly 0, and
+    # a NaN gradient makes it NaN: every start is dropped, none raises
+    monkeypatch.setattr(spectral.FamilyGeometry, "gradient", lambda self, x: gradient(x))
+    with pytest.raises(SamplingError):
+        spectral.sample_level(PRODUCT, 0.2, seed=1)
+    code = cli.main(["spectrum", "--family", "product", "--n", "7", "--k", "4", "--t", "0.2"])
+    assert code == cli.RUNTIME_FAILURE
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: no convergent sample")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +220,8 @@ def test_parallel_check_reverses_orientation_past_a_focal_angle():
     assert report.ok
     assert report.max_curvature_error < 1e-9
     # the spectrum along the gradient normal of the displaced point, negated
-    along_gradient = ref.principal_curvatures(ref.Point(geo, x_t, geo.value(x_t)))
+    level = FKM22.F.evaluate_float(list(x_t))
+    along_gradient = ref.principal_curvatures(ref.Point(geo, x_t, level))
     assert np.allclose(report.measured_curvatures, np.sort(-along_gradient), atol=1e-10)
 
 
@@ -439,14 +545,14 @@ def test_geometry_tables_match_exact_derivatives(fam):
         x = np.random.default_rng(seed).normal(size=n)
         x /= np.linalg.norm(x)
         point = [float(v) for v in x]
-        assert close(geo.value(x), fam.F.evaluate_float(point))
         g, H = geo.gradient(x), geo.hessian(x)
+        # Euler's identity, the only way the package reads F
+        assert close(g @ x / fam.p, fam.F.evaluate_float(point))
         for i in range(n):
             assert close(g[i], grads[i].evaluate_float(point))
             for j in range(n):
                 assert close(H[i, j], grads[i].differentiate(j).evaluate_float(point))
         # the column products are bit-identical to the row products
-        assert np.array_equal(geo.value(x), row_products(geo._value, x, 1)[0])
         assert np.array_equal(g, row_products(geo._grad, x, n))
         upper = row_products(geo._hess, x, n * n).reshape(n, n)
         assert np.array_equal(H, upper + np.triu(upper, 1).T)
@@ -466,10 +572,9 @@ def test_geometry_tables_match_exact_derivatives(fam):
 def test_table_coefficients_are_the_rounded_exact_coefficients(build):
     # each coefficient is float(c * k) of the exact ScalarQ3 coefficient c
     fam = build()
-    value, grad, hess = [], [], []
+    grad, hess = [], []
     for mono, c in fam.F.items():
         vs = [v for v, e in enumerate(mono) for _ in range(e)]
-        value.append(float(c))
         for i in dict.fromkeys(vs):
             di = spectral._drop(vs, i)
             grad.append(float(c * mono[i]))
@@ -477,5 +582,5 @@ def test_table_coefficients_are_the_rounded_exact_coefficients(build):
                 if j >= i:
                     hess.append(float(c * (mono[i] * di.count(j))))
     geo = spectral.FamilyGeometry(fam)
-    for (_, coeffs, _), exact in zip((geo._value, geo._grad, geo._hess), (value, grad, hess)):
+    for (_, coeffs, _), exact in zip((geo._grad, geo._hess), (grad, hess)):
         assert coeffs.tobytes() == np.array(exact).tobytes()
