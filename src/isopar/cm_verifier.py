@@ -9,8 +9,12 @@ and a polynomial satisfying them has sphere level sets forming an
 isoparametric family with curvature multiplicities m1, m2.  Both residuals
 are computed as exact polynomials and tested for literal emptiness; there
 is no tolerance anywhere in this module.  The gradient residual is
-``F.gradient_square() - p^2 r^(2p-2)``, where ``Poly.gradient_square``
-adds all n squares (dF/dx_i)^2 into one exact accumulator.
+``F.gradient_residual(p^2, p - 1)``, that is |grad F|^2 - p^2 r^(2p-2)
+from one exact accumulator: all n squares (dF/dx_i)^2 are added into it,
+and the terms of p^2 r^(2p-2), generated by the multinomial theorem, are
+subtracted in place.  The Laplace target r^(p-2) is
+``sum_of_squares(n, (p - 2) // 2)`` from the same generator, so no
+polynomial product is formed here.
 
 For odd p the function r^(p-2) is not a polynomial, so the Laplace
 equation is read as lap F = 0 (all multiplicities equal, c = 0), matching
@@ -65,7 +69,7 @@ class CMReport(Report):
 
 def gradient_residual(F: Poly, p: int) -> Poly:
     """|grad F|^2 - p^2 r^(2p-2), exactly; empty iff the gradient identity holds."""
-    return F.gradient_square() - (sum_of_squares(F.num_vars) ** (p - 1)).scale(p * p)
+    return F.gradient_residual(p * p, p - 1)
 
 
 def verify_cm(fam: IsoparametricFamily) -> CMReport:
@@ -84,7 +88,7 @@ def verify_cm(fam: IsoparametricFamily) -> CMReport:
         c = ScalarQ3(0)
         laplace_residual = lap
     else:
-        target = sum_of_squares(nv) ** ((p - 2) // 2)
+        target = sum_of_squares(nv, (p - 2) // 2)
         # match the pure x_1^(p-2) monomial, whose coefficient in r^(p-2) is 1
         probe = tuple([p - 2] + [0] * (nv - 1))
         c = lap.coefficient(probe)

@@ -27,10 +27,15 @@ total degree could exceed 255 raises StructureError.
 
 Products accumulate term pairs into a numerator map in place, and a key is
 deleted the moment its sum cancels to 0, so every map stays canonical while
-it is filled and several products can share one map.  ``gradient_square``
-uses this for |grad p|^2: the squares of all n partial derivatives go into
-one A map and one B map, with no intermediate Poly and no copy of a
-growing sum.
+it is filled and several products can share one map.  ``gradient_residual``
+uses this for |grad p|^2 - c r^(2m): the squares of all n partial
+derivatives go into one A map and one B map, with no intermediate Poly and
+no copy of a growing sum, and the terms of c r^(2m), generated by the
+multinomial theorem, are subtracted from the A map in place.
+``gradient_square`` is its c = 0 case.  Inside this one call the keys have
+narrower fields, just wide enough for the exponents of the result (3 bits
+for a quartic); only the keys that survive are repacked to 8-bit fields,
+which stay the only key format a Poly stores.
 
 ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
 ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
@@ -275,6 +280,66 @@ def _derivative(nums: dict, shift: int) -> dict:
     """d/dx of every term whose exponent sits at bit ``shift`` of the key."""
     unit = 1 << shift
     return {k - unit: v * e for k, v in nums.items() if (e := (k >> shift) & 0xFF)}
+
+
+def _derivatives(nums: dict, num_vars: int, width: int) -> list[dict]:
+    """The num_vars partial derivative maps of ``nums`` on keys of ``width``-bit fields.
+
+    Each 8-bit key is unpacked once, and its term goes to the derivative of
+    every variable it contains.
+    """
+    units = [1 << width * (num_vars - 1 - i) for i in range(num_vars)]
+    out: list[dict] = [{} for _ in range(num_vars)]
+    for k, v in nums.items():
+        exps = [(i, e) for i, e in enumerate(k.to_bytes(num_vars, "big")) if e]
+        key = sum(e * units[i] for i, e in exps)
+        for i, e in exps:
+            out[i][key - units[i]] = v * e
+    return out
+
+
+def _widen(nums: dict, num_vars: int, width: int) -> dict:
+    """``nums`` with its ``width``-bit key fields repacked into 8-bit fields."""
+    mask = (1 << width) - 1
+    shifts = range(width * (num_vars - 1), -1, -width)
+    return {
+        int.from_bytes(bytes([(k >> s) & mask for s in shifts]), "big"): v
+        for k, v in nums.items()
+    }
+
+
+def _radial_terms(num_vars: int, m: int, width: int) -> dict:
+    """The numerator map of r^(2m) = (x_1^2 + ... + x_n^2)^m on ``width``-bit keys.
+
+    By the multinomial theorem the term prod_j x_j^(2 k_j), k_1 + ... + k_n
+    = m, has coefficient m! / prod_j k_j!.  The terms are built one factor
+    r^2 at a time as the sorted index tuples i_1 <= ... <= i_t, each with
+    its key, last index, run length k of that index and coefficient
+    t! / prod_j k_j!: a new index i_t > i_(t-1) multiplies the coefficient
+    by t, and one more i_(t-1) by t / (k + 1).
+    """
+    if m < 0:
+        raise StructureError("negative polynomial powers are not defined")
+    _check_product_degree(2 * m)
+    if not m:
+        return {0: 1}
+    twos = [2 << width * (num_vars - 1 - i) for i in range(num_vars)]
+    level = [(0, 0, 0, 1)]  # key, last index, its run length, coefficient
+    for t in range(1, m):
+        grown = []
+        for key, last, run, coef in level:
+            grown.append((key + twos[last], last, run + 1, coef * t // (run + 1)))
+            coef *= t
+            grown += [(key + twos[i], i, 1, coef) for i in range(last + 1, num_vars)]
+        level = grown
+    # the last factor writes the map directly, with no tuple per term
+    out = {}
+    for key, last, run, coef in level:
+        out[key + twos[last]] = coef * m // (run + 1)
+        coef *= m
+        for two in twos[last + 1:]:
+            out[key + two] = coef
+    return out
 
 
 class Poly:
@@ -523,24 +588,40 @@ class Poly:
         return Poly._raw(n, lap(self._a), lap(self._b), self._den)
 
     def gradient_square(self) -> "Poly":
-        """|grad p|^2 = sum_i (dp/dx_i)^2, computed exactly in one accumulator.
+        """|grad p|^2 = sum_i (dp/dx_i)^2, the c = 0 case of ``gradient_residual``."""
+        return self.gradient_residual(0, 0)
+
+    def gradient_residual(self, c: int, m: int) -> "Poly":
+        """|grad p|^2 - c r^(2m) for an integer c, computed exactly in one accumulator.
 
         With dp/dx_i = (A_i + sqrt3 B_i) / den, every A_i^2 + 3 B_i^2 is added
-        into one A map and every 2 A_i B_i into one B map, both over den^2.
+        into one A map and every 2 A_i B_i into one B map, both over den^2,
+        and the terms of c den^2 r^(2m) are then subtracted from the A map in
+        place.  The maps use keys of ``width`` bits per field, just wide
+        enough for exponents up to 2 (deg p - 1) and 2m; only the surviving
+        keys, none when the identity holds, are repacked to 8-bit keys.
         As for ``dp/dx_i * dp/dx_i``, StructureError is raised when the
-        squares, of degree 2 (deg p - 1), could pass exponent 255.
+        squares, of degree 2 (deg p - 1), or r^(2m) could pass exponent 255.
         """
+        if not isinstance(c, int):
+            raise TypeError(f"gradient_residual takes an integer c, not {c!r}")
         n = self.num_vars
-        _check_product_degree(2 * ((self.degree() or 1) - 1))
+        top = max(2 * ((self.degree() or 1) - 1), 2 * m if c else 0)
+        _check_product_degree(top)
+        width = max(1, top.bit_length())
+        da, db = _derivatives(self._a, n, width), _derivatives(self._b, n, width)
         a: dict = {}
         b: dict = {}
-        for i in range(n):
-            shift = 8 * (n - 1 - i)
-            da, db = _derivative(self._a, shift), _derivative(self._b, shift)
-            _mul_into(a, da, da)
-            _mul_into(a, db, db, 3)
-            _mul_into(b, da, db, 2)
-        return Poly._raw(n, a, b, self._den * self._den)
+        for dai, dbi in zip(da, db):
+            _mul_into(a, dai, dai)
+            _mul_into(a, dbi, dbi, 3)
+            _mul_into(b, dai, dbi, 2)
+        den = self._den * self._den
+        if c:
+            # r^(2m) times the constant -c den^2, pruned as it lands; the
+            # outer loop of _mul_into walks r^(2m) without copying its terms
+            _mul_into(a, _radial_terms(n, m, width), {0: -c * den})
+        return Poly._raw(n, _widen(a, n, width), _widen(b, n, width), den)
 
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
@@ -549,7 +630,8 @@ class Poly:
         input is not homogeneous of the stated degree.
         """
         n = self.num_vars
-        bad = [_unpack(k, n) for k in self._keys() if _key_degree(k, n) != degree]
+        degrees = {k: _key_degree(k, n) for k in self._keys()}
+        bad = [_unpack(k, n) for k, d in degrees.items() if d != degree]
         if bad:
             raise PreconditionError(
                 f"polynomial is not homogeneous of degree {degree}; "
@@ -559,7 +641,7 @@ class Poly:
         # sum_i x_i d/dx_i multiplies the term c x^e by e_1 + ... + e_n, which
         # is 0 only for the constant term, key 0
         def euler(nums: dict) -> dict:
-            return {k: v * _key_degree(k, n) for k, v in nums.items() if k}
+            return {k: v * degrees[k] for k, v in nums.items() if k}
 
         return Poly._raw(n, euler(self._a), euler(self._b), self._den) == self.scale(degree)
 
@@ -689,11 +771,8 @@ def _parse_fraction(token: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def sum_of_squares(num_vars: int) -> Poly:
-    """The radius-squared polynomial r^2 = x_1^2 + ... + x_n^2."""
-    terms = {}
-    for i in range(num_vars):
-        mono = [0] * num_vars
-        mono[i] = 2
-        terms[tuple(mono)] = ONE
-    return Poly(num_vars, terms)
+def sum_of_squares(num_vars: int, m: int = 1) -> Poly:
+    """The radius power r^(2m) = (x_1^2 + ... + x_n^2)^m, r^2 by default."""
+    if num_vars < 1:
+        raise StructureError("num_vars must be positive")
+    return Poly._raw(num_vars, _radial_terms(num_vars, m, 8), {}, 1)

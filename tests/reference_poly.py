@@ -218,6 +218,10 @@ class Poly:
             total = total + dF * dF
         return total
 
+    def gradient_residual(self, c: int, m: int) -> "Poly":
+        """|grad p|^2 - c r^(2m), as the square sum minus the scaled power of r^2."""
+        return self.gradient_square() - sum_of_squares(self.num_vars, m).scale(c)
+
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
 
@@ -349,11 +353,11 @@ class Poly:
         return cls(seen_vars, terms)
 
 
-def sum_of_squares(num_vars: int) -> Poly:
-    """The radius-squared polynomial r^2 = x_1^2 + ... + x_n^2."""
+def sum_of_squares(num_vars: int, m: int = 1) -> Poly:
+    """The radius power r^(2m), as the m-th power of r^2 = x_1^2 + ... + x_n^2."""
     terms = {}
     for i in range(num_vars):
         mono = [0] * num_vars
         mono[i] = 2
         terms[tuple(mono)] = ONE
-    return Poly(num_vars, terms)
+    return Poly(num_vars, terms) ** m

@@ -456,6 +456,98 @@ def test_gradient_square_exact_values_and_degree_guard():
         Poly(2, {(0, 129): 1}).gradient_square()
 
 
+def _product_route_residual(F, c, m):
+    """|grad F|^2 - c r^(2m) with the target formed by repeated products."""
+    return F.gradient_square() - (sum_of_squares(F.num_vars) ** m).scale(c)
+
+
+def _perturbed(F, p):
+    """F + x0^p, F + sqrt3 x0 x1^(p-1) and F/3 + x0^p: residuals that are not empty."""
+    n = F.num_vars
+    x0 = Poly.variable(n, 0)
+    x1 = Poly.variable(n, 1 % n)
+    return [F + x0**p, F + (x0 * x1 ** (p - 1)).scale(SQRT3), F.scale(Fraction(1, 3)) + x0**p]
+
+
+FUSED_FAMILIES = {
+    **KERNEL_FAMILIES,
+    "fkm(9,1)": lambda: fkm_family(build_system(build_generators(9, 1))),
+}
+
+
+@pytest.mark.parametrize("name", FUSED_FAMILIES)
+def test_fused_residual_matches_product_route(name):
+    fam = FUSED_FAMILIES[name]()
+    F, p = fam.F, fam.p
+    cases = [F] if name == "fkm(9,1)" else [F, *_perturbed(F, p)]
+    for i, G in enumerate(cases):
+        got = G.gradient_residual(p * p, p - 1)
+        want = _product_route_residual(G, p * p, p - 1)
+        assert got == want and got.dumps() == want.dumps()
+        assert got.is_zero() == (i == 0)
+
+
+@given(gradient_cases(), st.integers(min_value=-20, max_value=20), st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_fused_residual_matches_reference(p, c, m):
+    got = p.gradient_residual(c, m)
+    _assert_same(got, RefPoly(p.num_vars, dict(p.items())).gradient_residual(c, m))
+    assert all(got._a.values()) and all(got._b.values())
+
+
+def test_fused_residual_width_covers_the_radial_target():
+    # the key width must hold 2m as well as 2 (deg F - 1): the squares of
+    # these F fit one bit, but r^4 needs three and r^6 three
+    for F in (Poly.zero(3), Poly.constant(3, 5), Poly.constant(3, SQRT3), Poly.variable(3, 1)):
+        got = F.gradient_residual(9, 2)
+        assert got == _product_route_residual(F, 9, 2)
+        assert got.coefficient((4, 0, 0)) == -9
+    F = Poly(3, {(1, 1, 0): 1, (0, 0, 2): Fraction(2, 3)})
+    assert F.gradient_residual(4, 3) == _product_route_residual(F, 4, 3)
+    assert F.gradient_residual(0, 3) == F.gradient_square()
+
+
+def test_fused_residual_width_at_the_top_field():
+    # degree 128: squares of degree 254 need all 8 bits of a field
+    F = Poly(2, {(128, 0): 1, (1, 127): 3})
+    assert F.gradient_residual(5, 127) == _product_route_residual(F, 5, 127)
+    with pytest.raises(StructureError):
+        Poly(2, {(0, 129): 1}).gradient_residual(16, 3)
+    with pytest.raises(StructureError):
+        Poly.variable(2, 0).gradient_residual(1, 128)  # r^256
+    with pytest.raises(TypeError):
+        F.gradient_residual(Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 5), (4, 0), (4, 1), (4, 3), (7, 2), (5, 4)])
+def test_radial_power_matches_repeated_products(n, m):
+    got = sum_of_squares(n, m)
+    want = sum_of_squares(n) ** m
+    assert got == want and got.dumps() == want.dumps()
+    _assert_same(got, ref_sum_of_squares(n, m))
+
+
+def test_radial_power_refuses_what_a_field_cannot_hold():
+    with pytest.raises(StructureError):
+        sum_of_squares(3, -1)
+    with pytest.raises(StructureError):
+        sum_of_squares(3, 128)
+    with pytest.raises(StructureError):
+        sum_of_squares(0)
+    assert sum_of_squares(2, 127).coefficient((254, 0)) == 1
+
+
+def test_verify_cm_forms_no_polynomial_product(monkeypatch):
+    fam = fkm_family(build_system(build_generators(5, 1)))
+
+    def refuse(*args):
+        raise AssertionError("verify_cm formed a polynomial product")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    assert verify_cm(fam).ok
+
+
 def test_product_prunes_cancelled_terms_in_place():
     x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
     p = (x0 + x1) * (x0 - x1)
