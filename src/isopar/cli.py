@@ -17,25 +17,33 @@ identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed, 2 usage error (including a negative --seed, a
 non-finite --travel, a --cluster-tol that is not a finite number > 0, a
-catalog inhom --m below 1, --family product at k = 1 or k = n for n >= 2,
-which declares a zero multiplicity, spectrum, parallel or focal on a
-family in S^1, whose level sets are points, or at a --t with |t| > 0.95,
-inside the focal guard band, a Clifford size l = k delta(m) above 256 in
-clifford build or --family fkm, and an --output path that cannot be
+--seeds outside 1..MAX_SEEDS = 10000, a catalog inhom --m below 1,
+--family product at k = 1 or k = n for n >= 2, which declares a zero
+multiplicity, spectrum, parallel or focal on a family in S^1, whose level
+sets are points, or at a --t with |t| > 0.95, inside the focal guard band,
+a Clifford size l = k delta(m) above 256 in clifford build or --family
+fkm, a family whose ambient dimension is above MAX_AMBIENT_DIM = 512 =
+2 MAX_L, the largest fkm ambient, and an --output path that cannot be
 written), 3 a numerical procedure failed at run time (sampling did not
 converge, ambiguous clustering, a focal travel angle, a construction that
 failed its own relations).
 
 The --family choices and the arguments each family needs come from one
-registry, FAMILIES.  A family is built once per process for each set of
+registry, FAMILIES.  Each row also gives the family's ambient dimension
+from those arguments, which is checked against MAX_AMBIENT_DIM before
+anything is built.  A family is built once per process for each set of
 values of its required arguments: build_family keeps the last
 FAMILY_MEMO_SIZE = 16 families built, so a repeated request gets the same
 IsoparametricFamily object, and with it the derivative tables that
-spectral compiled for that object.  A factory that raises is not
-remembered, so a bad request fails the same way every time.  The factories
-look their builders (fkm_family and the others) up by global name when
-they run, not when the registry is made, so a tracer that rebinds those
-names after import (perfbench/tracing.py) still sees every build.
+spectral compiled for that object.  nurowski check reads its Cartan cubic
+from the same memo, under the key verify cm --family cartan-cubic uses, so
+the cubic is built once for both; the conditions and the dimension-5
+determinant cross check are still computed on every request.  A factory
+that raises is not remembered, so a bad request fails the same way every
+time.  The factories look their builders (fkm_family and the others) up by
+global name when they run, not when the registry is made, so a tracer that
+rebinds those names after import (perfbench/tracing.py) still sees every
+build.
 
 The argument parser is built once, when this module is imported, as
 _PARSER; main only parses.  argparse keeps no per-call state in a parser,
@@ -56,7 +64,7 @@ import sys
 
 from . import catalog as cat
 from . import spectral
-from .clifford import build_generators, build_system, validate_system
+from .clifford import MAX_L, build_generators, build_system, generator_size, validate_system
 from .cm_verifier import verify_cm
 from .division_algebras import AlgebraTag
 from .errors import (
@@ -77,7 +85,7 @@ from .families import (
     nomizu_family,
     product_family,
 )
-from .nurowski import check_conditions, dimension_catalog, upsilon_for_dimension
+from .nurowski import check_conditions, dimension_catalog, extract_upsilon
 
 SCHEMA_VERSION = 1
 USAGE_ERROR = 2
@@ -105,29 +113,51 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
+MAX_SEEDS = 10_000  # spectrum --seeds: level samples in one report
+
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_seed_count = _checked(int, lambda v: 1 <= v <= MAX_SEEDS, f"an integer in 1..{MAX_SEEDS}")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
-# --family name -> (required arguments, factory over their values); each
-# factory looks its builder up by global name when it is called
+# --family name -> (required arguments, ambient dimension over their values,
+# factory over their values); each factory looks its builder up by global
+# name when it is called
 FAMILIES = {
-    "linear": (("n",), lambda n: linear_family(n)),
-    "product": (("n", "k"), lambda n, k: product_family(n, k)),
-    "cartan-cubic": (("algebra",), lambda algebra: cartan_cubic(AlgebraTag[algebra])),
-    "fkm": (("m", "k"), lambda m, k: fkm_family(build_system(build_generators(m, k)))),
-    "nomizu": (("n",), lambda n: nomizu_family(n)),
+    "linear": (("n",), lambda n: n + 1, lambda n: linear_family(n)),
+    "product": (("n", "k"), lambda n, k: n + 1, lambda n, k: product_family(n, k)),
+    "cartan-cubic": (
+        ("algebra",),
+        lambda algebra: 3 * AlgebraTag[algebra].dim + 2,
+        lambda algebra: cartan_cubic(AlgebraTag[algebra]),
+    ),
+    "fkm": (
+        ("m", "k"),
+        lambda m, k: 2 * generator_size(m, k),
+        lambda m, k: fkm_family(build_system(build_generators(m, k))),
+    ),
+    "nomizu": (("n",), lambda n: 2 * n + 2, lambda n: nomizu_family(n)),
 }
+# the largest ambient R^N a family is built in: fkm at l = MAX_L
+MAX_AMBIENT_DIM = 2 * MAX_L
 # built families kept, least recently used dropped first; a benchmark
 # workload asks for at most 5 distinct ones
 FAMILY_MEMO_SIZE = 16
+# nurowski check --dim -> the algebra of the Cartan cubic realizing it
+_DIM_ALGEBRA = {e.n: AlgebraTag(e.k).name for e in dimension_catalog()}
 
 
 @functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
 def _built_family(name: str, values: tuple) -> IsoparametricFamily:
-    return FAMILIES[name][1](*values)
+    _, ambient_dim, factory = FAMILIES[name]
+    dim = ambient_dim(*values)
+    if dim > MAX_AMBIENT_DIM:
+        raise DomainError(
+            f"{name} would live in R^{dim}; the largest ambient built is R^{MAX_AMBIENT_DIM}"
+        )
+    return factory(*values)
 
 
 def build_family(args) -> IsoparametricFamily:
@@ -191,7 +221,8 @@ def cmd_focal(args) -> tuple[str, int]:
 
 
 def cmd_nurowski_check(args) -> tuple[str, int]:
-    report = check_conditions(upsilon_for_dimension(args.dim))
+    fam = _built_family("cartan-cubic", (_DIM_ALGEBRA[args.dim],))
+    report = check_conditions(extract_upsilon(fam.F))
     result = report.to_dict()
     if args.dim == 5:
         result["determinant_cross_check"] = det_cubic_cross_check().to_dict()
@@ -297,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
         "spectrum", parents=[family_args], help="principal curvature spectrum of a level set"
     )
     p_spec.add_argument("--t", type=float, default=0.0)
-    p_spec.add_argument("--seeds", type=_positive_int, default=1)
+    p_spec.add_argument("--seeds", type=_seed_count, default=1)
     p_spec.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
     p_spec.add_argument(
         "--cluster-tol", type=_positive_float, default=spectral.DEFAULT_CLUSTER_TOL
@@ -326,9 +357,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_nur = sub.add_parser("nurowski", help="symmetric 3-tensor conditions")
     nur_sub = p_nur.add_subparsers(dest="nurowski_command", required=True)
     p_check = nur_sub.add_parser("check", help="verify conditions (1)-(3)")
-    p_check.add_argument(
-        "--dim", type=int, required=True, choices=tuple(e.n for e in dimension_catalog())
-    )
+    p_check.add_argument("--dim", type=int, required=True, choices=tuple(_DIM_ALGEBRA))
     p_check.add_argument("--output", "-o")
     p_check.set_defaults(func=cmd_nurowski_check)
 

@@ -197,8 +197,9 @@ def _irreducible_generators(m: int) -> list[SignedPerm]:
     return [G.kron(ident_small) for G in g16] + [_L.kron(ident8).kron(E) for E in small]
 
 
-def build_generators(m: int, k: int) -> CliffordGenerators:
-    """Generators on R^(k delta(m)): k-fold block sum of an irreducible set."""
+def generator_size(m: int, k: int) -> int:
+    """l = k delta(m), the size build_generators(m, k) would build, checked
+    against m, k >= 1 and l <= MAX_L without building anything."""
     if m < 1:
         raise DomainError("m must be positive")
     if k < 1:
@@ -206,7 +207,12 @@ def build_generators(m: int, k: int) -> CliffordGenerators:
     # delta(m) >= 16^((m-1)//8): a huge m is refused before delta(m) is formed
     if 4 * ((m - 1) // 8) >= MAX_L.bit_length() or k * delta(m) > MAX_L:
         raise DomainError(f"l = k delta(m) exceeds {MAX_L} at m = {m}, k = {k}")
-    l = k * delta(m)
+    return k * delta(m)
+
+
+def build_generators(m: int, k: int) -> CliffordGenerators:
+    """Generators on R^(k delta(m)): k-fold block sum of an irreducible set."""
+    l = generator_size(m, k)
     mats = tuple(SignedPerm.identity(k).kron(E) for E in _irreducible_generators(m))
     gens = CliffordGenerators(m=m, l=l, mats=mats)
     gens.validate()

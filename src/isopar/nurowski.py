@@ -198,7 +198,11 @@ def dimension_catalog() -> tuple[DimensionEntry, ...]:
 
 
 def upsilon_for_dimension(n: int) -> UpsilonTensor:
-    """The tensor of the Cartan cubic realizing dimension n in {5, 8, 14, 26}."""
+    """The tensor of the Cartan cubic realizing dimension n in {5, 8, 14, 26}.
+
+    Builds a fresh cartan_cubic family on every call, for library callers;
+    the CLI reads the same cubic from its family memo instead.
+    """
     tag = _DIM_TO_TAG.get(n)
     if tag is None:
         raise PreconditionError(

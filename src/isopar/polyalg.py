@@ -731,9 +731,10 @@ class Poly:
         n, a, b, den = self.num_vars, self._a, self._b, self._den
         lines = []
         for k in sorted(self._keys()):
-            ca, cb = Fraction(a.get(k, 0), den), Fraction(b.get(k, 0), den)
+            ca, cb = a.get(k, 0), b.get(k, 0)
+            ga, gb = math.gcd(ca, den), math.gcd(cb, den)  # den > 0; a zero part is 0/1
             lines.append(
-                f"{ca.numerator}/{ca.denominator} {cb.numerator}/{cb.denominator} "
+                f"{ca // ga}/{den // ga} {cb // gb}/{den // gb} "
                 + " ".join(map(str, k.to_bytes(n, "big")))
             )
         return "\n".join(lines)

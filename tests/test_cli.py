@@ -7,8 +7,10 @@ import weakref
 
 import pytest
 
-from isopar import cli, spectral
+from isopar import cli, nurowski, spectral
 from isopar.cli import main
+from isopar.division_algebras import AlgebraTag
+from isopar.families import cartan_cubic
 from isopar.polyalg import Poly
 
 
@@ -184,6 +186,11 @@ def test_spectrum_rejects_seed_count_below_one(capsys):
         assert "--seeds" in capsys.readouterr().err
 
 
+def test_seed_count_cap_is_accepted():
+    argv = ["spectrum", "--family", "linear", "--n", "3", "--seeds", str(cli.MAX_SEEDS)]
+    assert cli._PARSER.parse_args(argv).seeds == cli.MAX_SEEDS
+
+
 def test_runtime_failure_exits_three(capsys):
     # pi/4 is a focal travel angle of product(7,4) at t = 0
     code, out, err = run(
@@ -204,8 +211,12 @@ def test_runtime_failure_exits_three(capsys):
         ("parallel", "--family", "product", "--n", "7", "--k", "4", "--travel", "nan"),
         ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--cluster-tol", "-1"),
         ("catalog", "inhom", "--m1", "3", "--m2", "4", "--m", "-5"),
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--seeds", "100000000"),
     ],
-    ids=["spectrum-seed", "parallel-seed", "focal-seed", "travel", "cluster-tol", "inhom-m"],
+    ids=[
+        "spectrum-seed", "parallel-seed", "focal-seed", "travel", "cluster-tol", "inhom-m",
+        "spectrum-seeds-1e8",
+    ],
 )
 def test_out_of_range_numbers_are_parser_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -419,6 +430,30 @@ def test_clifford_size_above_cap_is_usage_error(capsys, argv):
     assert "256" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "cm", "--family", "product", "--n", "100000", "--k", "3"),
+        ("spectrum", "--family", "linear", "--n", "512"),
+        ("family", "build", "--family", "nomizu", "--n", "256"),
+    ],
+    ids=["product-n1e5", "linear-n512", "nomizu-n256"],
+)
+def test_ambient_dimension_above_cap_is_usage_error(capsys, argv):
+    # each registry row gives its ambient dimension, checked before the build
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"R^{cli.MAX_AMBIENT_DIM}" in err
+
+
+def test_ambient_dimension_at_cap_is_built(capsys):
+    code, out, _ = run(capsys, "family", "build", "--family", "linear", "--n", "511")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["ambient_dim"] == cli.MAX_AMBIENT_DIM
+
+
 # ---------------------------------------------------------------------------
 # one family per argument set
 # ---------------------------------------------------------------------------
@@ -511,3 +546,51 @@ def test_benchmark_warm_up_fills_what_requests_hit(capsys, counted):
     for argv in (("focal", *NOMIZU, "--index", "0"), ("parallel", *NOMIZU, "--travel", "0.3")):
         assert run(capsys, *argv)[0] == 0
     assert counted == {"builds": 1, "compiles": 1, "compares": 0}
+
+
+EXACT_CUBIC = [
+    *(("verify", "cm", "--family", "cartan-cubic", "--algebra", a) for a in "RCHO"),
+    *(("nurowski", "check", "--dim", str(n)) for n in (5, 8, 14, 26)),
+    ("family", "build", "--family", "cartan-cubic", "--algebra", "O", "--format", "json"),
+]
+
+
+def test_nurowski_check_shares_the_registry_family(monkeypatch, capsys):
+    builds, checks = [], []
+    build, check = cli.cartan_cubic, cli.check_conditions
+
+    def counting_build(tag):
+        builds.append(tag)
+        return build(tag)
+
+    def counting_check(tensor):
+        checks.append(tensor.n)
+        return check(tensor)
+
+    cli._built_family.cache_clear()
+    # both bindings a cubic build can go through, so a route around the memo counts too
+    monkeypatch.setattr(cli, "cartan_cubic", counting_build)
+    monkeypatch.setattr(nurowski, "cartan_cubic", counting_build)
+    monkeypatch.setattr(cli, "check_conditions", counting_check)
+    argvs = [
+        ("verify", "cm", "--family", "cartan-cubic", "--algebra", "O"),
+        ("nurowski", "check", "--dim", "26"),
+        ("nurowski", "check", "--dim", "26"),
+        ("family", "build", "--family", "cartan-cubic", "--algebra", "O"),
+    ]
+    try:
+        assert [run(capsys, *argv)[0] for argv in argvs] == [0, 0, 0, 0]
+    finally:
+        cli._built_family.cache_clear()
+    assert builds == [AlgebraTag.O]
+    assert checks == [26, 26]  # the conditions are decided on every request
+
+
+def test_exact_cubic_requests_print_the_same_bytes_in_either_order(capsys):
+    # verify cm and nurowski check read one memo family: no report may change its F
+    cli._built_family.cache_clear()
+    forward = [run(capsys, *argv) for argv in EXACT_CUBIC]
+    backward = [run(capsys, *argv) for argv in reversed(EXACT_CUBIC)][::-1]
+    assert [code for code, _, _ in forward] == [0] * len(EXACT_CUBIC)
+    assert backward == forward
+    assert cli._built_family("cartan-cubic", ("O",)).F == cartan_cubic(AlgebraTag.O).F

@@ -279,6 +279,16 @@ def test_zero_poly_round_trip_needs_num_vars():
         Poly.loads("")
 
 
+def test_dumps_reduces_each_part_by_its_own_gcd():
+    # one shared denominator 6; the parts 0, 3, -4, 2 share 6, 3, 2, 2 with it
+    p = Poly(2, {(2, 0): 2, (1, 1): ScalarQ3(3, -4), (0, 2): ScalarQ3(0, 3)}).scale(
+        Fraction(1, 6)
+    )
+    assert p.dumps() == "0/1 1/2 0 2\n1/2 -2/3 1 1\n1/3 0/1 2 0"
+    ref = RefPoly(2, {(2, 0): 2, (1, 1): ScalarQ3(3, -4), (0, 2): ScalarQ3(0, 3)})
+    assert p.dumps() == ref.scale(Fraction(1, 6)).dumps()
+
+
 def test_dumps_is_lexicographically_sorted():
     p = Poly(2, {(0, 1): 1, (1, 0): 1, (0, 0): 1})
     lines = p.dumps().splitlines()
