@@ -15,16 +15,18 @@ Subcommands:
 Reports are JSON documents with a schema_version field and are byte
 identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
-verification failed, 2 usage error (including a negative --seed, a
-non-finite --travel, a --cluster-tol that is not a finite number > 0, a
---seeds outside 1..MAX_SEEDS = 10000, a catalog inhom --m below 1,
---family product at k = 1 or k = n for n >= 2, which declares a zero
-multiplicity, spectrum, parallel or focal on a family in S^1, whose level
-sets are points, or at a --t with |t| > 0.95, inside the focal guard band,
-a Clifford size l = k delta(m) above 256 in clifford build or --family
-fkm, a family whose ambient dimension is above MAX_AMBIENT_DIM = 512 =
-2 MAX_L, the largest fkm ambient, and an --output path that cannot be
-written), 3 a numerical procedure failed at run time (sampling did not
+verification failed (for spectrum this includes a clustered spectrum whose
+number of distinct curvatures p differs from the family's p, as when a
+coarse --cluster-tol merges distinct curvatures), 2 usage error (including
+a negative --seed, a non-finite --travel, a --cluster-tol that is not a
+finite number > 0, a --seeds outside 1..MAX_SEEDS = 10000, a catalog inhom
+--m below 1, --family product at k = 1 or k = n for n >= 2, which declares
+a zero multiplicity, spectrum, parallel or focal on a family in S^1, whose
+level sets are points, or at a --t with |t| > 0.95, inside the focal guard
+band, a Clifford size l = k delta(m) above 256 in clifford build or
+--family fkm, a family whose ambient dimension is above MAX_AMBIENT_DIM =
+512 = 2 MAX_L, the largest fkm ambient, and an --output path that cannot
+be written), 3 a numerical procedure failed at run time (sampling did not
 converge, ambiguous clustering, a focal travel angle, a construction that
 failed its own relations).
 
@@ -37,13 +39,13 @@ FAMILY_MEMO_SIZE = 16 families built, so a repeated request gets the same
 IsoparametricFamily object, and with it the derivative tables that
 spectral compiled for that object.  nurowski check reads its Cartan cubic
 from the same memo, under the key verify cm --family cartan-cubic uses, so
-the cubic is built once for both; the conditions and the dimension-5
-determinant cross check are still computed on every request.  A factory
-that raises is not remembered, so a bad request fails the same way every
-time.  The factories look their builders (fkm_family and the others) up by
-global name when they run, not when the registry is made, so a tracer that
-rebinds those names after import (perfbench/tracing.py) still sees every
-build.
+the cubic is built once for both; the dimension-5 determinant cross check
+takes that memoized R cubic as its argument.  The conditions and the cross
+check are still computed on every request.  A factory that raises is not
+remembered, so a bad request fails the same way every time.  The factories
+look their builders (fkm_family and the others) up by global name when
+they run, not when the registry is made, so a tracer that rebinds those
+names after import (perfbench/tracing.py) still sees every build.
 
 The argument parser is built once, when this module is imported, as
 _PARSER; main only parses.  argparse keeps no per-call state in a parser,
@@ -204,7 +206,8 @@ def cmd_spectrum(args) -> tuple[str, int]:
         base_seed=args.seed,
         cluster_tol=args.cluster_tol,
     )
-    ok = report.seed_agreement_ok and report.munzner.ok
+    # off the focal sets a family has exactly fam.p distinct curvatures
+    ok = report.seed_agreement_ok and report.munzner.ok and report.spectrum.p == fam.p
     return _json("spectrum", report.to_dict()), _verdict(ok)
 
 
@@ -225,7 +228,7 @@ def cmd_nurowski_check(args) -> tuple[str, int]:
     report = check_conditions(extract_upsilon(fam.F))
     result = report.to_dict()
     if args.dim == 5:
-        result["determinant_cross_check"] = det_cubic_cross_check().to_dict()
+        result["determinant_cross_check"] = det_cubic_cross_check(fam.F).to_dict()
     return _json("nurowski check", result), _verdict(report.ok)
 
 

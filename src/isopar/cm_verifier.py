@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import PreconditionError
 from .families import IsoparametricFamily
 from .polyalg import Poly, ScalarQ3, sum_of_squares
 from .report import Report, report_key
@@ -111,29 +111,3 @@ def verify_cm(fam: IsoparametricFamily) -> CMReport:
         laplace_residual=laplace_residual,
     )
 
-
-def multiplicity_solve(p: int, n: int, m_diff: Fraction | int) -> tuple[int, int]:
-    """Solve for (m1, m2) from p, the sphere dimension n and m2 - m1.
-
-    Uses dim M = n - 1 = p (m1 + m2) / 2 together with m2 - m1 = m_diff.
-    For p = 1 there is a single curvature of multiplicity n - 1 and m_diff
-    is ignored.
-    """
-    if p < 1:
-        raise InconsistencyError("p must be positive")
-    if p == 1:
-        return (n - 1, n - 1)
-    total = Fraction(2 * (n - 1), p)  # m1 + m2
-    diff = Fraction(m_diff)
-    m1 = (total - diff) / 2
-    m2 = (total + diff) / 2
-    if m1.denominator != 1 or m2.denominator != 1:
-        raise InconsistencyError(
-            f"multiplicities not integral: m1 = {m1}, m2 = {m2}"
-        )
-    m1i, m2i = int(m1), int(m2)
-    if m1i <= 0 or m2i <= 0:
-        raise InconsistencyError(
-            f"multiplicities not positive: ({m1i}, {m2i})"
-        )
-    return (m1i, m2i)

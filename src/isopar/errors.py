@@ -18,10 +18,6 @@ class PreconditionError(ValueError):
     """A documented precondition (e.g. homogeneity) does not hold."""
 
 
-class InconsistencyError(ValueError):
-    """Derived quantities contradict each other (e.g. non-integral multiplicities)."""
-
-
 class ConstructionError(RuntimeError):
     """An assembled object failed its own defining relations."""
 

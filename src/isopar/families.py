@@ -354,7 +354,9 @@ class DetCubicReport(Report):
     note: str
 
 
-def det_cubic_cross_check() -> DetCubicReport:
+def det_cubic_cross_check(cartan_r: Poly) -> DetCubicReport:
+    """Compare the determinant cubic, its x5 flip and ``cartan_r``, the F of
+    ``cartan_cubic(AlgebraTag.R)``, with the published expansion."""
     det = nurowski_det_cubic()
     exp = nurowski_expanded_cubic()
     # negate x5 in the determinant output
@@ -362,7 +364,7 @@ def det_cubic_cross_check() -> DetCubicReport:
         5,
         {m: (c if m[4] % 2 == 0 else -c) for m, c in det.items()},
     )
-    cartan_renamed = rename_cartan_r_to_nurowski(cartan_cubic(AlgebraTag.R).F)
+    cartan_renamed = rename_cartan_r_to_nurowski(cartan_r)
     same = (det - exp).is_zero()
     same_flipped = (flipped - exp).is_zero()
     matches_cartan = (exp - cartan_renamed).is_zero()

@@ -22,8 +22,8 @@ then lexicographic order of exponent vectors, and the key of a product of
 monomials is the sum of their keys, so multiplication is integer addition
 on keys and integer multiplication on numerators.  A field holds exponents
 up to MAX_EXPONENT = 255 and must never carry into its neighbour: the
-constructor and ``loads`` refuse a larger exponent, and a product whose
-total degree could exceed 255 raises StructureError.
+constructor refuses a larger exponent, and a product whose total degree
+could exceed 255 raises StructureError.
 
 Products accumulate term pairs into a numerator map in place, and a key is
 deleted the moment its sum cancels to 0, so every map stays canonical while
@@ -31,11 +31,10 @@ it is filled and several products can share one map.  ``gradient_residual``
 uses this for |grad p|^2 - c r^(2m): the squares of all n partial
 derivatives go into one A map and one B map, with no intermediate Poly and
 no copy of a growing sum, and the terms of c r^(2m), generated by the
-multinomial theorem, are subtracted from the A map in place.
-``gradient_square`` is its c = 0 case.  Inside this one call the keys have
-narrower fields, just wide enough for the exponents of the result (3 bits
-for a quartic); only the keys that survive are repacked to 8-bit fields,
-which stay the only key format a Poly stores.
+multinomial theorem, are subtracted from the A map in place.  Inside this
+one call the keys have narrower fields, just wide enough for the exponents
+of the result (3 bits for a quartic); only the keys that survive are
+repacked to 8-bit fields, which stay the only key format a Poly stores.
 
 ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
 ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
@@ -43,21 +42,21 @@ ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
 the terms of ``items`` as integer numerators over the shared denominator.
 
 All values are immutable after construction and all operations are pure
-functions; evaluating and differentiating from several threads is safe.
+functions.
 
-The text serialization is one term per line::
+The text form, written by ``Poly.dumps``, is one term per line::
 
     a_num/a_den b_num/b_den e1 e2 ... en
 
 with terms in ascending lexicographic order of the exponent vector.  The
-round trip through ``Poly.dumps`` / ``Poly.loads`` is bit exact.
+package only writes it; the tests' reference kernel reads it back.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import PreconditionError, StructureError
 
@@ -96,10 +95,6 @@ class ScalarQ3:
         if isinstance(value, (int, Fraction)):
             return cls(value)
         raise TypeError(f"cannot coerce {value!r} to ScalarQ3")
-
-    @classmethod
-    def sqrt3(cls) -> "ScalarQ3":
-        return cls(0, 1)
 
     # -- field operations -------------------------------------------------
 
@@ -189,10 +184,6 @@ class ScalarQ3:
 ZERO = ScalarQ3(0)
 ONE = ScalarQ3(1)
 SQRT3 = ScalarQ3(0, 1)
-
-
-def _coerce_point_exact(point: Sequence) -> list[ScalarQ3]:
-    return [ScalarQ3.from_value(v) for v in point]
 
 
 def _pack(mono: Monomial) -> int:
@@ -542,18 +533,11 @@ class Poly:
             self._den * den,
         )
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise StructureError("negative polynomial powers are not defined")
-        result = Poly.constant(self.num_vars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     # -- calculus ---------------------------------------------------------------
 
     def differentiate(self, index: int) -> "Poly":
         """Exact partial derivative with respect to variable ``index`` (0-based)."""
+        # no request calls this; kept because perfbench's polyalg.diff_s metric traces it
         if not 0 <= index < self.num_vars:
             raise StructureError(
                 f"variable index {index} out of range for {self.num_vars} variables"
@@ -562,9 +546,6 @@ class Poly:
         return Poly._raw(
             self.num_vars, _derivative(self._a, shift), _derivative(self._b, shift), self._den
         )
-
-    def gradient(self) -> list["Poly"]:
-        return [self.differentiate(i) for i in range(self.num_vars)]
 
     def laplacian(self) -> "Poly":
         """Sum of the pure second partials, computed exactly."""
@@ -586,10 +567,6 @@ class Poly:
             return out
 
         return Poly._raw(n, lap(self._a), lap(self._b), self._den)
-
-    def gradient_square(self) -> "Poly":
-        """|grad p|^2 = sum_i (dp/dx_i)^2, the c = 0 case of ``gradient_residual``."""
-        return self.gradient_residual(0, 0)
 
     def gradient_residual(self, c: int, m: int) -> "Poly":
         """|grad p|^2 - c r^(2m) for an integer c, computed exactly in one accumulator.
@@ -645,52 +622,6 @@ class Poly:
 
         return Poly._raw(n, euler(self._a), euler(self._b), self._den) == self.scale(degree)
 
-    # -- evaluation ------------------------------------------------------------
-
-    def _numerator_values(self, values: Sequence) -> tuple:
-        """(sum of A_e x^e, sum of B_e x^e) at ``values``, powers cached per variable."""
-        n = self.num_vars
-        powers: list[dict] = [{} for _ in range(n)]
-
-        def total(nums: dict):
-            acc = 0
-            for k, v in nums.items():
-                term = v
-                for i, e in enumerate(k.to_bytes(n, "big")):
-                    if e:
-                        cache = powers[i]
-                        if e not in cache:
-                            cache[e] = values[i] ** e
-                        term = term * cache[e]
-                acc = acc + term
-            return acc
-
-        return total(self._a), total(self._b)
-
-    def evaluate(self, point: Sequence) -> ScalarQ3 | float:
-        """Evaluate at a point, exactly or in floating point.
-
-        If every entry of ``point`` is an int, Fraction or ScalarQ3 the
-        result is an exact ScalarQ3; if any entry is a float the whole
-        evaluation runs in floating point.
-        """
-        if len(point) != self.num_vars:
-            raise StructureError(
-                f"point has {len(point)} entries, expected {self.num_vars}"
-            )
-        if any(isinstance(v, float) for v in point):
-            return self.evaluate_float([float(v) for v in point])
-        a, b = self._numerator_values(_coerce_point_exact(point))
-        return (SQRT3 * b + a) / self._den
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.num_vars:
-            raise StructureError(
-                f"point has {len(point)} entries, expected {self.num_vars}"
-            )
-        a, b = self._numerator_values(point)
-        return (a + _SQRT3 * b) / self._den
-
     # -- comparison / hashing -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -738,39 +669,6 @@ class Poly:
                 + " ".join(map(str, k.to_bytes(n, "big")))
             )
         return "\n".join(lines)
-
-    @classmethod
-    def loads(cls, text: str, num_vars: int | None = None) -> "Poly":
-        """Parse ``dumps`` text; malformed or repeated lines raise StructureError."""
-        terms: dict = {}
-        seen_vars = num_vars
-        for line in text.splitlines():
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) < 3:
-                raise StructureError(f"malformed term line: {line!r}")
-            try:
-                coeff = ScalarQ3(_parse_fraction(tokens[0]), _parse_fraction(tokens[1]))
-                mono = tuple(int(t) for t in tokens[2:])
-            except (ValueError, ZeroDivisionError) as err:
-                raise StructureError(f"malformed term line: {line!r}") from err
-            if seen_vars is None:
-                seen_vars = len(mono)
-            elif len(mono) != seen_vars:
-                raise StructureError("inconsistent exponent vector lengths")
-            if mono in terms:
-                raise StructureError(f"repeated exponent vector {mono}")
-            terms[mono] = coeff
-        if seen_vars is None:
-            raise StructureError("cannot infer variable count from empty text")
-        return cls(seen_vars, terms)
-
-
-def _parse_fraction(token: str) -> Fraction:
-    num, den = token.split("/")  # ValueError unless exactly one slash
-    return Fraction(int(num), int(den))
-
 
 def sum_of_squares(num_vars: int, m: int = 1) -> Poly:
     """The radius power r^(2m) = (x_1^2 + ... + x_n^2)^m, r^2 by default."""

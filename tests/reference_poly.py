@@ -2,7 +2,12 @@
 
 This is the dict-of-tuples ``Poly`` that ``isopar.polyalg`` used before its
 packed representation, kept unchanged as the oracle the kernel tests compare
-against.  It is not part of the package: nothing under ``src/`` imports it.
+against.  It is also the tests' only polynomial evaluator (exact and float),
+text parser (``loads``), power operator and gradient list: the package's
+kernel keeps only what a request runs.  ``ref(p)`` converts a package
+polynomial to this kernel and ``packed(r)`` converts back, both through
+``items``.  It is not part of the package: nothing under ``src/`` imports
+it.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from isopar import polyalg
 from isopar.errors import PreconditionError, StructureError
 from isopar.polyalg import ONE, ZERO, ScalarLike, ScalarQ3
 
@@ -361,3 +367,13 @@ def sum_of_squares(num_vars: int, m: int = 1) -> Poly:
         mono[i] = 2
         terms[tuple(mono)] = ONE
     return Poly(num_vars, terms) ** m
+
+
+def ref(p: polyalg.Poly) -> Poly:
+    """The reference copy of a package polynomial."""
+    return Poly(p.num_vars, dict(p.items()))
+
+
+def packed(r: Poly) -> polyalg.Poly:
+    """The package polynomial of a reference one."""
+    return polyalg.Poly(r.num_vars, dict(r.items()))

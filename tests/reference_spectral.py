@@ -4,9 +4,10 @@
 F(x) off the gradient by Euler's identity.  Each step evaluated F and grad F
 separately, solved the 2 x 2 normal equations with ``np.linalg.solve`` and,
 once converged, evaluated the gradient again.  F is read here from the
-exact polynomial, ``fam.F.evaluate_float``, because the geometry no longer
-holds a value table.  The point it returns is built by the package's
-``_surface_point``, so only the projection differs between the two routes.
+exact polynomial, by the float evaluator of the reference kernel
+(``reference_poly``), because the geometry no longer holds a value table.
+The point it returns is built by the package's ``_surface_point``, so only
+the projection differs between the two routes.
 
 The rest is the frame route ``isopar.spectral`` used before a sampled point
 carried its own frame.  Every check derived the unit normal again
@@ -40,6 +41,7 @@ from isopar.spectral import (
     FamilyGeometry,
     cluster_spectrum,
 )
+from reference_poly import ref
 
 
 def sample_level(fam, t: float, seed: int = DEFAULT_SEED, allow_extreme: bool = False):
@@ -55,13 +57,14 @@ def sample_level(fam, t: float, seed: int = DEFAULT_SEED, allow_extreme: bool = 
         )
     geo = spectral.geometry(fam)
     n = geo.n_amb
+    F = ref(fam.F)
     rng = np.random.default_rng(seed)
     for _attempt in range(12):
         x = rng.normal(size=n)
         x /= np.linalg.norm(x)
         converged = False
         for _ in range(NEWTON_MAX_ITERATIONS):
-            value = fam.F.evaluate_float([float(v) for v in x])
+            value = F.evaluate_float([float(v) for v in x])
             r = np.array([value - t, x @ x - 1.0])
             if float(np.max(np.abs(r))) < NEWTON_RESIDUAL_TOL:
                 converged = True

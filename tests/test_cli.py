@@ -7,11 +7,13 @@ import weakref
 
 import pytest
 
-from isopar import cli, nurowski, spectral
+from isopar import cli, families, nurowski, spectral
 from isopar.cli import main
 from isopar.division_algebras import AlgebraTag
 from isopar.families import cartan_cubic
 from isopar.polyalg import Poly
+from reference_poly import Poly as RefPoly
+from reference_poly import packed
 
 
 def run(capsys, *argv):
@@ -89,6 +91,17 @@ def test_catalog_su3_orbit(capsys):
     assert result["eigenvalues_exact"] == ["1*sqrt3", "0", "-1*sqrt3"]
 
 
+def test_spectrum_fails_when_clusters_merge_distinct_curvatures(capsys):
+    # a coarse tolerance merges sqrt3, 0 and -sqrt3 into one cluster: p = 1
+    # passes Muenzner's restrictions but is not the cubic's p = 3
+    argv = ("spectrum", "--family", "cartan-cubic", "--algebra", "R")
+    code, out, _ = run(capsys, *argv, "--cluster-tol", "10")
+    result = json.loads(out)["result"]
+    assert result["spectrum"]["p"] == 1 and result["munzner"]["ok"] is True
+    assert code == cli.VERIFICATION_FAILURE
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_spectrum_report_deterministic(capsys):
     args = ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--t", "0.2", "--seeds", "2")
     code1, out1, _ = run(capsys, *args)
@@ -103,7 +116,7 @@ def test_family_build_poly_text_round_trip(capsys):
     header, *term_lines = out.splitlines()
     meta = json.loads(header)
     assert meta["ambient_dim"] == 4
-    poly = Poly.loads("\n".join(term_lines))
+    poly = packed(RefPoly.loads("\n".join(term_lines)))
     assert poly.num_terms() == meta["num_terms"]
     assert poly.homogeneous_degree() == meta["p"]
 
@@ -115,7 +128,7 @@ def test_family_build_json_format(capsys):
     )
     assert code == 0
     result = json.loads(out)["result"]
-    poly = Poly.loads("\n".join(result["terms"]))
+    poly = packed(RefPoly.loads("\n".join(result["terms"])))
     assert poly.homogeneous_degree() == 3
 
 
@@ -568,22 +581,26 @@ def test_nurowski_check_shares_the_registry_family(monkeypatch, capsys):
         return check(tensor)
 
     cli._built_family.cache_clear()
-    # both bindings a cubic build can go through, so a route around the memo counts too
+    # every binding a cubic build can go through, so a route around the memo
+    # counts too; the dimension-5 cross check is in families
     monkeypatch.setattr(cli, "cartan_cubic", counting_build)
     monkeypatch.setattr(nurowski, "cartan_cubic", counting_build)
+    monkeypatch.setattr(families, "cartan_cubic", counting_build)
     monkeypatch.setattr(cli, "check_conditions", counting_check)
     argvs = [
         ("verify", "cm", "--family", "cartan-cubic", "--algebra", "O"),
         ("nurowski", "check", "--dim", "26"),
         ("nurowski", "check", "--dim", "26"),
         ("family", "build", "--family", "cartan-cubic", "--algebra", "O"),
+        ("nurowski", "check", "--dim", "5"),
+        ("nurowski", "check", "--dim", "5"),
     ]
     try:
-        assert [run(capsys, *argv)[0] for argv in argvs] == [0, 0, 0, 0]
+        assert [run(capsys, *argv)[0] for argv in argvs] == [0] * 6
     finally:
         cli._built_family.cache_clear()
-    assert builds == [AlgebraTag.O]
-    assert checks == [26, 26]  # the conditions are decided on every request
+    assert builds == [AlgebraTag.O, AlgebraTag.R]
+    assert checks == [26, 26, 5, 5]  # the conditions are decided on every request
 
 
 def test_exact_cubic_requests_print_the_same_bytes_in_either_order(capsys):

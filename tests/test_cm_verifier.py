@@ -1,13 +1,11 @@
 """Exact Cartan-Muenzner identity verification and multiplicity inference."""
 
-from fractions import Fraction
-
 import pytest
 
 from isopar.clifford import build_generators, build_system
-from isopar.cm_verifier import multiplicity_solve, verify_cm
+from isopar.cm_verifier import verify_cm
 from isopar.division_algebras import AlgebraTag
-from isopar.errors import InconsistencyError, PreconditionError
+from isopar.errors import PreconditionError
 from isopar.families import (
     IsoparametricFamily,
     cartan_cubic,
@@ -124,31 +122,3 @@ def test_report_serializes():
     assert "citation" in d
     assert len(d["identities"]) == 2
 
-
-# ---------------------------------------------------------------------------
-# multiplicity_solve
-# ---------------------------------------------------------------------------
-
-
-def test_multiplicity_solve_fkm_pair():
-    assert multiplicity_solve(4, 7, -1) == (2, 1)
-
-
-def test_multiplicity_solve_equal_pair():
-    assert multiplicity_solve(3, 7, 0) == (2, 2)
-
-
-def test_multiplicity_solve_p1():
-    assert multiplicity_solve(1, 7, 12345) == (6, 6)
-
-
-def test_multiplicity_solve_rejects_non_integral():
-    with pytest.raises(InconsistencyError):
-        multiplicity_solve(4, 7, 0)  # m1 + m2 = 3, equal split impossible
-
-
-def test_multiplicity_solve_rejects_non_positive():
-    with pytest.raises(InconsistencyError):
-        multiplicity_solve(4, 7, -3)  # gives (3, 0)
-    with pytest.raises(InconsistencyError):
-        multiplicity_solve(2, 7, Fraction(1, 2))

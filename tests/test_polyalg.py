@@ -1,9 +1,10 @@
 """Exact scalar and polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isopar import cm_verifier, families
@@ -22,6 +23,7 @@ from isopar.families import (
 )
 from isopar.polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
 from reference_poly import Poly as RefPoly
+from reference_poly import packed, ref
 from reference_poly import sum_of_squares as ref_sum_of_squares
 
 # ---------------------------------------------------------------------------
@@ -188,8 +190,8 @@ def test_laplacian_r4_even_dimension():
     assert r4.laplacian() == expected
     # independent spot check at a rational point
     point = [Fraction(1, 2), 1, 0, Fraction(-1, 3), 2, 0, 1, Fraction(3, 4)]
-    lhs = r4.laplacian().evaluate(point)
-    rhs = expected.evaluate(point)
+    lhs = ref(r4.laplacian()).evaluate(point)
+    rhs = ref(expected).evaluate(point)
     assert lhs == rhs
 
 
@@ -200,32 +202,19 @@ def test_homogeneous_laplacian_degree_drop():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation, by the reference kernel
 # ---------------------------------------------------------------------------
 
 
 def test_evaluate_exact():
     x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     p = x * x * x - Poly.constant(2, 3) * x * y * y
-    assert p.evaluate([2, 1]) == 2
+    assert ref(p).evaluate([2, 1]) == 2
 
 
 def test_homogeneous_vanishes_at_origin():
     p = Poly(3, {(2, 1, 0): SQRT3, (0, 0, 3): Fraction(5, 2)})
-    assert p.evaluate([0, 0, 0]) == 0
-
-
-def test_evaluate_length_mismatch():
-    with pytest.raises(StructureError):
-        sum_of_squares(3).evaluate([1, 2])
-
-
-@given(polys_3, st.lists(small_fractions, min_size=3, max_size=3))
-@settings(max_examples=60)
-def test_float_and_exact_evaluation_agree(p, point):
-    exact = float(p.evaluate(point))
-    approx = p.evaluate_float([float(v) for v in point])
-    assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
+    assert ref(p).evaluate([0, 0, 0]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +246,9 @@ def test_euler_on_homogeneous_parts(p, d):
 # ---------------------------------------------------------------------------
 
 
-def test_round_trip_bit_exact():
-    p = Poly(
+@given(polys_3)
+@example(
+    Poly(
         3,
         {
             (3, 0, 0): Fraction(3, 2),
@@ -266,17 +256,21 @@ def test_round_trip_bit_exact():
             (0, 2, 1): ScalarQ3(Fraction(-1, 6), Fraction(5, 4)),
         },
     )
+)
+@example(Poly.zero(4))
+@settings(max_examples=100, deadline=None)
+def test_round_trip_bit_exact(p):
+    # the emitted text against the reference kernel's independent parser
+    # and writer; the zero polynomial writes no line, so the count is passed
     text = p.dumps()
-    assert Poly.loads(text) == p
-    assert Poly.loads(text).dumps() == text
+    assert packed(RefPoly.loads(text, num_vars=p.num_vars)) == p
+    assert ref(p).dumps() == text
 
 
 def test_zero_poly_round_trip_needs_num_vars():
     z = Poly.zero(4)
     assert z.dumps() == ""
-    assert Poly.loads("", num_vars=4) == z
-    with pytest.raises(StructureError):
-        Poly.loads("")
+    assert packed(RefPoly.loads("", num_vars=4)) == z
 
 
 def test_dumps_reduces_each_part_by_its_own_gcd():
@@ -285,8 +279,8 @@ def test_dumps_reduces_each_part_by_its_own_gcd():
         Fraction(1, 6)
     )
     assert p.dumps() == "0/1 1/2 0 2\n1/2 -2/3 1 1\n1/3 0/1 2 0"
-    ref = RefPoly(2, {(2, 0): 2, (1, 1): ScalarQ3(3, -4), (0, 2): ScalarQ3(0, 3)})
-    assert p.dumps() == ref.scale(Fraction(1, 6)).dumps()
+    want = RefPoly(2, {(2, 0): 2, (1, 1): ScalarQ3(3, -4), (0, 2): ScalarQ3(0, 3)})
+    assert p.dumps() == want.scale(Fraction(1, 6)).dumps()
 
 
 def test_dumps_is_lexicographically_sorted():
@@ -303,7 +297,7 @@ def test_dumps_is_lexicographically_sorted():
 
 @st.composite
 def kernel_cases(draw):
-    """Two term maps on 1-6 variables, exponents 0-4, plus a scalar and a point."""
+    """Two term maps on 1-6 variables, exponents 0-4, plus a scalar and an index."""
     n = draw(st.integers(min_value=1, max_value=6))
     monos = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
     terms = st.dictionaries(monos, scalars, max_size=6)
@@ -313,7 +307,6 @@ def kernel_cases(draw):
         draw(terms),
         draw(scalars),
         draw(st.integers(min_value=0, max_value=n - 1)),
-        draw(st.lists(scalars, min_size=n, max_size=n)),
     )
 
 
@@ -326,7 +319,7 @@ def _assert_same(new, ref):
 @given(kernel_cases())
 @settings(max_examples=150, deadline=None)
 def test_packed_kernel_matches_reference(case):
-    n, tp, tq, c, i, point = case
+    n, tp, tq, c, i = case
     p, q = Poly(n, tp), Poly(n, tq)
     rp, rq = RefPoly(n, tp), RefPoly(n, tq)
     _assert_same(p, rp)
@@ -337,7 +330,6 @@ def test_packed_kernel_matches_reference(case):
     _assert_same(p.scale(c), rp.scale(c))
     _assert_same(p.differentiate(i), rp.differentiate(i))
     _assert_same(p.laplacian(), rp.laplacian())
-    assert p.evaluate(point) == rp.evaluate(point)
     assert (p == q) == (rp == rq)
     assert Poly(n, dict(p.items())) == p
     assert hash(Poly(n, dict(p.items()))) == hash(p)
@@ -420,7 +412,7 @@ def test_gradient_square_matches_sympy(name):
             for mono, c in poly.items()
         )
 
-    grad_sq = F.gradient_square()
+    grad_sq = F.gradient_residual(0, 0)
     F_sym = to_sympy(F)
     expected = sympy.expand(sum(sympy.diff(F_sym, x) ** 2 for x in xs))
     assert sympy.expand(to_sympy(grad_sq) - expected) == 0
@@ -448,27 +440,26 @@ def gradient_cases(draw):
 @given(gradient_cases())
 @settings(max_examples=150, deadline=None)
 def test_gradient_square_matches_reference(p):
-    got = p.gradient_square()
-    ref = RefPoly(p.num_vars, dict(p.items())).gradient_square()
-    _assert_same(got, ref)
+    got = p.gradient_residual(0, 0)
+    _assert_same(got, ref(p).gradient_square())
     assert all(got._a.values()) and all(got._b.values())
 
 
 def test_gradient_square_exact_values_and_degree_guard():
     p = _cross_cancelling(4).scale(ScalarQ3(Fraction(1, 2), 1))
     # |grad p|^2 = 2 c^2 r^2 with c = 1/2 + sqrt3
-    assert p.gradient_square() == sum_of_squares(4).scale(ScalarQ3(Fraction(13, 2), 2))
-    assert Poly.zero(3).gradient_square().is_zero()
-    assert Poly.constant(3, 5).gradient_square().is_zero()
-    assert Poly(2, {(128, 0): 1}).gradient_square() == Poly(2, {(254, 0): 128 * 128})
+    assert p.gradient_residual(0, 0) == sum_of_squares(4).scale(ScalarQ3(Fraction(13, 2), 2))
+    assert Poly.zero(3).gradient_residual(0, 0).is_zero()
+    assert Poly.constant(3, 5).gradient_residual(0, 0).is_zero()
+    assert Poly(2, {(128, 0): 1}).gradient_residual(0, 0) == Poly(2, {(254, 0): 128 * 128})
     # a degree-129 input has squares of degree 256, past the 8-bit key field
     with pytest.raises(StructureError):
-        Poly(2, {(0, 129): 1}).gradient_square()
+        Poly(2, {(0, 129): 1}).gradient_residual(0, 0)
 
 
 def _product_route_residual(F, c, m):
-    """|grad F|^2 - c r^(2m) with the target formed by repeated products."""
-    return F.gradient_square() - (sum_of_squares(F.num_vars) ** m).scale(c)
+    """|grad F|^2 - c r^(2m) with r^(2m) formed by the reference kernel's repeated products."""
+    return F.gradient_residual(0, 0) - packed(ref_sum_of_squares(F.num_vars, m)).scale(c)
 
 
 def _perturbed(F, p):
@@ -476,7 +467,9 @@ def _perturbed(F, p):
     n = F.num_vars
     x0 = Poly.variable(n, 0)
     x1 = Poly.variable(n, 1 % n)
-    return [F + x0**p, F + (x0 * x1 ** (p - 1)).scale(SQRT3), F.scale(Fraction(1, 3)) + x0**p]
+    x0_p = math.prod([x0] * p)
+    x0_x1_p = math.prod([x0] + [x1] * (p - 1))
+    return [F + x0_p, F + x0_x1_p.scale(SQRT3), F.scale(Fraction(1, 3)) + x0_p]
 
 
 FUSED_FAMILIES = {
@@ -514,7 +507,7 @@ def test_fused_residual_width_covers_the_radial_target():
         assert got.coefficient((4, 0, 0)) == -9
     F = Poly(3, {(1, 1, 0): 1, (0, 0, 2): Fraction(2, 3)})
     assert F.gradient_residual(4, 3) == _product_route_residual(F, 4, 3)
-    assert F.gradient_residual(0, 3) == F.gradient_square()
+    assert F.gradient_residual(0, 3) == F.gradient_residual(0, 0)
 
 
 def test_fused_residual_width_at_the_top_field():
@@ -532,9 +525,9 @@ def test_fused_residual_width_at_the_top_field():
 @pytest.mark.parametrize("n, m", [(1, 0), (1, 5), (4, 0), (4, 1), (4, 3), (7, 2), (5, 4)])
 def test_radial_power_matches_repeated_products(n, m):
     got = sum_of_squares(n, m)
-    want = sum_of_squares(n) ** m
-    assert got == want and got.dumps() == want.dumps()
-    _assert_same(got, ref_sum_of_squares(n, m))
+    want = ref_sum_of_squares(n, m)
+    assert got == packed(want)
+    _assert_same(got, want)
 
 
 def test_radial_power_refuses_what_a_field_cannot_hold():
@@ -554,7 +547,6 @@ def test_verify_cm_forms_no_polynomial_product(monkeypatch):
         raise AssertionError("verify_cm formed a polynomial product")
 
     monkeypatch.setattr(Poly, "__mul__", refuse)
-    monkeypatch.setattr(Poly, "__pow__", refuse)
     assert verify_cm(fam).ok
 
 
@@ -567,7 +559,7 @@ def test_product_prunes_cancelled_terms_in_place():
 
 
 # ---------------------------------------------------------------------------
-# Exponent fields and malformed text
+# Exponent fields
 # ---------------------------------------------------------------------------
 
 
@@ -575,36 +567,22 @@ def test_exponent_above_field_is_refused():
     with pytest.raises(StructureError):
         Poly(2, {(0, 256): 1})
     with pytest.raises(StructureError):
-        Poly.loads("1/1 0/1 0 256")
+        packed(RefPoly.loads("1/1 0/1 0 256"))
     top = Poly(2, {(0, 255): 1})
     assert top.coefficient((0, 255)) == 1 and top.coefficient((1, 0)) == 0
-    assert Poly.loads(top.dumps()) == top
+    assert packed(RefPoly.loads(top.dumps())) == top
 
 
 def test_product_that_could_carry_is_refused():
-    x0, x1 = Poly.variable(2, 0), Poly.variable(2, 1)
+    def x(i, e):  # the monomial x_i^e
+        return Poly(2, {(e, 0) if i == 0 else (0, e): 1})
+
     # variable 1 sits in the low field: a carry out of it would corrupt x0
     with pytest.raises(StructureError):
-        x1**200 * x1**100
+        x(1, 200) * x(1, 100)
     with pytest.raises(StructureError):
-        x0**200 * x0**100
+        x(0, 200) * x(0, 100)
+    # total degree 256, one past the field, even though each factor fits
     with pytest.raises(StructureError):
-        x1**256
-    assert (x1**100 * x1**155).dumps() == "1/1 0/1 0 255"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1/0 0/1 1 2",
-        "1 0/1 1 2",
-        "x 0/1 1",
-        "1/2 0/1 1 2\n1/3 0/1 1 2",
-        "1/2 0/1 1 y",
-        "1/2/3 0/1 1 2",
-    ],
-    ids=["zero-denominator", "no-slash", "not-a-number", "repeated-vector", "bad-exponent", "two-slashes"],
-)
-def test_loads_rejects_malformed_text(text):
-    with pytest.raises(StructureError):
-        Poly.loads(text)
+        x(1, 255) * x(1, 1)
+    assert (x(1, 100) * x(1, 155)).dumps() == "1/1 0/1 0 255"
