@@ -173,8 +173,14 @@ def parallel_measured(pt, travel: float) -> tuple[tuple, bool]:
     return tuple(sorted(float(v) for v in measured)), flip
 
 
-def parallel_map_rank(pt, angle: float) -> tuple[int, np.ndarray]:
-    """Nullity and singular values of d(x, t) -> cos t x + sin t xi(x)."""
+def parallel_map_rank(
+    pt, angle: float, steps: tuple = (FD_STEP, FD_STEP * 10, FD_STEP / 10)
+) -> tuple[int, np.ndarray]:
+    """Nullity and singular values of d(x, t) -> cos t x + sin t xi(x).
+
+    ``steps`` are the finite-difference steps tried in turn; a test passes
+    the tail of the default list to follow a route whose first steps failed.
+    """
     geo = pt.geometry
     frame = normal_frame(pt)
     B = tangent_basis(pt.x, frame.xi)
@@ -184,7 +190,7 @@ def parallel_map_rank(pt, angle: float) -> tuple[int, np.ndarray]:
         gs = geo.sphere_gradient(y)
         return gs / np.linalg.norm(gs)
 
-    for step in (FD_STEP, FD_STEP * 10, FD_STEP / 10):
+    for step in steps:
         cols = []
         for idx in range(B.shape[1]):
             v = B[:, idx]

@@ -420,6 +420,44 @@ def test_focal_index_out_of_range():
         spectral.focal_check(pt, 5)
 
 
+@pytest.mark.parametrize("fails", [1, 2])
+@pytest.mark.parametrize("name", ["fkm(9,1)", "cartan-O", "nomizu(7)", "product(7,4)"])
+def test_retry_steps_match_the_reference_route_bit_for_bit(monkeypatch, name, fails):
+    # the gap check refuses the first one or two step sizes; the Jacobian of
+    # every step size tried, and the result of the one kept, are the
+    # reference route's at that step
+    pt = spectral.sample_level(BUILDERS[name](), 0.2, seed=3)
+    angle = spectral.spectrum_at(pt).thetas[0]
+    has_gap, tried = spectral._has_gap, []
+
+    def refuse_first(sv):
+        tried.append(sv)
+        return len(tried) > fails and has_gap(sv)
+
+    monkeypatch.setattr(spectral, "_has_gap", refuse_first)
+    nullity, sv = spectral.parallel_map_rank(pt, angle)
+    steps = (spectral.FD_STEP, spectral.FD_STEP * 10, spectral.FD_STEP / 10)
+    assert len(tried) == fails + 1 and tried[-1] is sv
+    for step, sv_tried in zip(steps, tried):
+        assert sv_tried.tobytes() == ref.parallel_map_rank(pt, angle, steps=(step,))[1].tobytes()
+    ref_nullity, ref_sv = ref.parallel_map_rank(pt, angle, steps=steps[fails:])
+    assert nullity == ref_nullity
+    assert sv.tobytes() == ref_sv.tobytes()
+
+
+def test_no_step_size_with_a_gap_ends_in_sampling_error(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_has_gap", lambda sv: False)
+    message = "finite-difference Jacobian is ill-conditioned at every step size tried"
+    pt = spectral.sample_level(PRODUCT, 0.0, seed=1)
+    with pytest.raises(SamplingError) as raised:
+        spectral.focal_check(pt, 0)
+    assert str(raised.value) == message
+    code = cli.main(["focal", "--family", "product", "--n", "7", "--k", "4", "--index", "0"])
+    assert code == cli.RUNTIME_FAILURE
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # cross-seed invariance
 # ---------------------------------------------------------------------------
@@ -477,24 +515,31 @@ def test_point_frame_matches_the_reference_route_bit_for_bit(build):
 
 
 @pytest.mark.parametrize(
-    "argv, points",
+    "argv, points, fd_points",
     [
-        (("focal", "--t", "0.2", "--index", "0"), 1),
-        (("parallel", "--t", "0.2", "--travel", "0.3"), 2),
-        (("spectrum", "--t", "0.2", "--seeds", "20"), 20),
+        (("focal", "--t", "0.2", "--index", "0"), 1, 60),
+        (("parallel", "--t", "0.2", "--travel", "0.3"), 2, 0),
+        (("spectrum", "--t", "0.2", "--seeds", "20"), 20, 0),
     ],
     ids=["focal", "parallel", "spectrum-20"],
 )
-def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points):
+def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points, fd_points):
     # a sampled or displaced point gets one Hessian and one QR, and no
-    # gradient is evaluated twice at the same x within a request
-    calls = {"gradient": [], "hessian": [], "qr": 0}
+    # gradient is evaluated twice at the same x within a request, counting
+    # each row of a batch as one x; the focal check's 2 (n - 2) = 60
+    # finite-difference points go to the table in chunks, not one by one
+    calls = {"gradient": [], "hessian": [], "qr": 0, "batches": []}
     gradient, hessian = spectral.FamilyGeometry.gradient, spectral.FamilyGeometry.hessian
-    qr = np.linalg.qr
+    qr, evaluate = np.linalg.qr, spectral._evaluate
 
     def counted_gradient(self, x):
-        calls["gradient"].append(x.tobytes())
+        calls["gradient"].extend(row.tobytes() for row in np.atleast_2d(x))
         return gradient(self, x)
+
+    def counted_evaluate(table, x, size):
+        if x.ndim == 2:
+            calls["batches"].append((len(x), len(table[1])))
+        return evaluate(table, x, size)
 
     def counted_hessian(self, x):
         calls["hessian"].append(x.tobytes())
@@ -507,6 +552,7 @@ def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points):
     monkeypatch.setattr(spectral.FamilyGeometry, "gradient", counted_gradient)
     monkeypatch.setattr(spectral.FamilyGeometry, "hessian", counted_hessian)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(spectral, "_evaluate", counted_evaluate)
     code = cli.main([argv[0], "--family", "fkm", "--m", "9", "--k", "1", *argv[1:]])
     capsys.readouterr()
     assert code == 0
@@ -514,6 +560,12 @@ def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points):
     assert calls["qr"] == points
     repeats = len(calls["gradient"]) - len(set(calls["gradient"]))
     assert repeats == 0
+    assert sum(size for size, _ in calls["batches"]) == fd_points
+    if fd_points:
+        table_rows = calls["batches"][0][1]
+        per_chunk = spectral.EVAL_CHUNK_PRODUCTS // table_rows
+        assert 1 < per_chunk < fd_points
+        assert len(calls["batches"]) == math.ceil(fd_points / per_chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +612,37 @@ def test_geometry_tables_match_exact_derivatives(fam):
         assert np.array_equal(g, row_products(geo._grad, x, n))
         upper = row_products(geo._hess, x, n * n).reshape(n, n)
         assert np.array_equal(H, upper + np.triu(upper, 1).T)
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_batched_gradient_rows_match_the_one_point_call_bit_for_bit(monkeypatch, name):
+    # B = 1, 2, one full chunk and two chunks plus one point; the
+    # one-column tables of linear and product, and fkm(9,2), whose table
+    # alone exceeds the chunk bound, included
+    geo = spectral.geometry(BUILDERS[name]())
+    n, table_rows = geo.n_amb, len(geo._grad[1])
+    bound = spectral.EVAL_CHUNK_PRODUCTS
+    per_chunk = max(1, bound // table_rows)
+    batches, evaluate = [], spectral._evaluate
+
+    def counted(table, x, size):
+        if x.ndim == 2:
+            batches.append(len(x) * len(table[1]))
+        return evaluate(table, x, size)
+
+    monkeypatch.setattr(spectral, "_evaluate", counted)
+    rng = np.random.default_rng(11)
+    for size in sorted({1, 2, per_chunk, 2 * per_chunk + 1}):
+        x = rng.normal(size=(size, n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        batches.clear()
+        g, gs = geo.gradient(x), geo.sphere_gradient(x)
+        assert g.shape == gs.shape == (size, n)
+        assert len(batches) == 2 * math.ceil(size / per_chunk)
+        assert all(products <= max(bound, table_rows) for products in batches)
+        for row, g_row, gs_row in zip(x, g, gs):
+            assert g_row.tobytes() == geo.gradient(row).tobytes()
+            assert gs_row.tobytes() == geo.sphere_gradient(row).tobytes()
 
 
 @pytest.mark.parametrize(
