@@ -33,6 +33,7 @@ Conventions that need calling out:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -354,16 +355,19 @@ class DetCubicReport(Report):
     note: str
 
 
+@functools.cache
+def _published_cubics() -> tuple[Poly, Poly, Poly]:
+    """The determinant cubic, the same with x5 negated, and the published
+    expansion: constants, built once per process."""
+    det = nurowski_det_cubic()
+    flipped = Poly(5, {m: (c if m[4] % 2 == 0 else -c) for m, c in det.items()})
+    return det, flipped, nurowski_expanded_cubic()
+
+
 def det_cubic_cross_check(cartan_r: Poly) -> DetCubicReport:
     """Compare the determinant cubic, its x5 flip and ``cartan_r``, the F of
     ``cartan_cubic(AlgebraTag.R)``, with the published expansion."""
-    det = nurowski_det_cubic()
-    exp = nurowski_expanded_cubic()
-    # negate x5 in the determinant output
-    flipped = Poly(
-        5,
-        {m: (c if m[4] % 2 == 0 else -c) for m, c in det.items()},
-    )
+    det, flipped, exp = _published_cubics()
     cartan_renamed = rename_cartan_r_to_nurowski(cartan_r)
     same = (det - exp).is_zero()
     same_flipped = (flipped - exp).is_zero()

@@ -18,6 +18,8 @@ instrument.  Given a verified Cartan-Muenzner family it
 A SurfacePoint carries its frame: the unit normal, a tangent basis and the
 shape operator are computed once, when sample_level returns the point or
 parallel_check forms the displaced point, and every check reads them.
+spectrum_report keeps no SurfacePoint: it measures the same frames for its
+seeds as stacks and keeps only their eigenvalues.
 
 Sign convention: the unit normal is xi = +grad_S f / |grad_S f| and every
 report states it, so cot-angle bookkeeping is reproducible.  Orientation is
@@ -40,17 +42,20 @@ keeps no family alive.  The geometry therefore holds no reference back to
 its family: a value that held its weak key would keep the key, and itself,
 alive for good.
 
-The gradient also takes a batch, the points as the C-contiguous rows of a
-(B, n) array, and returns one row per point, bit-identical to the
-one-point call.  A batch is evaluated in chunks of at most
-EVAL_CHUNK_PRODUCTS products (points times table rows): a larger chunk
-no longer fits the allocator's reused memory and faults its arrays in on
-every call.  The focal check sends its finite-difference points through
-one batch per step size; Gauss-Newton steps and frames, one point at a
-time, keep the one-point path.  Row dot products of a batch go through
-_row_dots, one BLAS dot per C-contiguous row as a @ b and np.linalg.norm
-take on one point; summing them any other way, or over strided rows such
-as those of a transposed basis, changes the last bits.
+The gradient and the Hessian also take a batch, the points as the
+C-contiguous rows of a (B, n) array, and return one result per point,
+bit-identical to the one-point call.  A batch is evaluated in chunks of
+at most EVAL_CHUNK_PRODUCTS products (points times table rows): a larger
+chunk no longer fits the allocator's reused memory and faults its arrays
+in on every call.  Two stages are stacked: the focal check sends its
+finite-difference points through one gradient batch per step size, and
+spectrum_report measures the frames of its converged seeds in stacks, one
+Hessian batch, one QR, one product B^T H B and one eigvalsh per stack.
+Gauss-Newton steps stay one point at a time, and so do the frames of
+sample_level and parallel_check.  Dot products go through _dots, one BLAS
+dot per C-contiguous row, as a @ b and np.linalg.norm take on one point;
+summing them any other way, or over strided rows such as those of a
+transposed basis, changes the last bits.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +100,26 @@ _SQRT3 = math.sqrt(3.0)
 _geometry_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _table(entries: list, n: int) -> tuple:
+class _Table(NamedTuple):
+    """A derivative table: per row, its variable indices (one index array
+    per column), a float coefficient and an output slot; a batch goes to it
+    in chunks of ``chunk`` points.
+
+    bins[0] is the batch scatter index, slot + size * point for each row of
+    each point of the largest batch yet, raveled; a smaller batch reads its
+    prefix.  It grows to a full chunk only where the batches do: held for a
+    full chunk from the start, the eight tables of fkm(9,1), cartan-O,
+    nomizu(7) and product(7,4) took 0.8 MB.
+    """
+
+    columns: np.ndarray
+    coeffs: np.ndarray
+    slots: np.ndarray
+    chunk: int
+    bins: list
+
+
+def _table(entries: list, n: int) -> _Table:
     """Pack (slot, float coefficient, variables) entries into arrays.
 
     Each monomial becomes a row of its variable indices with repetition,
@@ -108,11 +133,12 @@ def _table(entries: list, n: int) -> tuple:
         rows[r, : len(vs)] = vs
     slots = np.array([s for s, _, _ in entries], dtype=np.intp)
     coeffs = np.array([c for _, c, _ in entries], dtype=float)
-    return rows.T.copy(), coeffs, slots
+    chunk = max(1, EVAL_CHUNK_PRODUCTS // max(len(entries), 1))
+    return _Table(rows.T.copy(), coeffs, slots, chunk, [slots])
 
 
-def _evaluate(table: tuple, x: np.ndarray, size: int) -> np.ndarray:
-    """The table at one point x, shape (n,), or at each row of x, shape (B, n).
+def _evaluate(table: _Table, x: np.ndarray, size: int) -> np.ndarray:
+    """The table at one point x, shape (n,), or at each row of x, shape (B, n), B <= chunk.
 
     A batch returns one row per point, each bit-identical to the one-point
     call: the products of a row are formed by the same multiplications in
@@ -121,7 +147,7 @@ def _evaluate(table: tuple, x: np.ndarray, size: int) -> np.ndarray:
     single point keeps its own path; as a (1, n) batch it would cost a few
     microseconds more, which every Gauss-Newton step would pay.
     """
-    columns, coeffs, slots = table
+    columns, coeffs, slots, _, bins = table
     if x.ndim == 1:
         point = np.append(x, 1.0)
         product = point[columns[0]]
@@ -136,21 +162,23 @@ def _evaluate(table: tuple, x: np.ndarray, size: int) -> np.ndarray:
     for column in columns[1:]:
         product *= point.take(column, axis=1)
     product *= coeffs
-    bins = slots + size * np.arange(rows)[:, None]
-    return np.bincount(bins.ravel(), weights=product.ravel(), minlength=rows * size).reshape(
-        rows, size
-    )
+    if len(bins[0]) < product.size:  # the largest batch yet: index it once
+        bins[0] = (slots + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(
+        bins[0][: product.size], weights=product.ravel(), minlength=rows * size
+    ).reshape(rows, size)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_i, b_i> for each row i, bit-identical to a[i] @ b[i].
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of one point, shape (1,), or <a_i, b_i> of each row, shape (B, 1).
 
-    The stacked (1, n) @ (n, 1) products run one BLAS dot per row, as the
-    one-point a @ b and np.linalg.norm do, provided the rows of a and b are
-    C-contiguous.  einsum, sum(axis=1) and strided rows all sum in another
-    order and change the last bits.
+    The (1, n) @ (n, 1) products run one BLAS dot per point, as a @ b and
+    np.linalg.norm do, provided each row of a and b is C-contiguous, so
+    every value is bit-identical to a[i] @ b[i].  einsum, sum(axis=1) and
+    strided rows all sum in another order and change the last bits.  The
+    kept axis broadcasts against the points.
     """
-    return (a[:, None, :] @ b[:, :, None]).ravel()
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def _drop(vs: list, i: int) -> list:
@@ -184,11 +212,11 @@ class FamilyGeometry:
     coeffs * np.prod(point[rows], axis=1); that reduction over 2- to 4-wide
     rows takes about 3 times as long on the fkm(9,1) gradient and Hessian.
 
-    gradient and sphere_gradient take one point, shape (n,), or a batch,
-    the C-contiguous rows of a (B, n) array, and return one bit-identical
-    row per point.  A batch goes to the table in chunks of
-    max(1, EVAL_CHUNK_PRODUCTS // table rows) points.  The Hessian is only
-    ever needed at one point.
+    gradient, sphere_gradient and hessian take one point, shape (n,), or a
+    batch, the C-contiguous rows of a (B, n) array, and return one
+    bit-identical result per point along a leading axis.  A batch goes to
+    each table in chunks of max(1, EVAL_CHUNK_PRODUCTS // table rows)
+    points.
     """
 
     def __init__(self, fam: IsoparametricFamily):
@@ -207,28 +235,32 @@ class FamilyGeometry:
                         hess.append((i * n + j, _float(a * k, b * k, den), _drop(di, j)))
         self._grad = _table(grad, n)
         self._hess = _table(hess, n)
-        self._chunk = max(1, EVAL_CHUNK_PRODUCTS // len(self._grad[1]))
+
+    def _batched(self, table: _Table, x: np.ndarray, size: int) -> np.ndarray:
+        """table at one point, or at each row of x, table.chunk rows per evaluation."""
+        chunk = table.chunk
+        if x.ndim == 1 or len(x) <= chunk:
+            return _evaluate(table, x, size)
+        out = np.empty((len(x), size))
+        for i in range(0, len(x), chunk):
+            out[i : i + chunk] = _evaluate(table, x[i : i + chunk], size)
+        return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F at one point, shape (n,), or at each row of x, shape (B, n), in chunks."""
-        n, chunk = self.n_amb, self._chunk
-        if x.ndim == 1 or len(x) <= chunk:
-            return _evaluate(self._grad, x, n)
-        return np.concatenate(
-            [_evaluate(self._grad, x[i : i + chunk], n) for i in range(0, len(x), chunk)]
-        )
+        return self._batched(self._grad, x, self.n_amb)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
+        """Hess F at one point, shape (n, n), or at each row of x, shape (B, n, n), in chunks."""
         n = self.n_amb
-        upper = _evaluate(self._hess, x, n * n).reshape(n, n)
-        return upper + np.triu(upper, 1).T
+        H = self._batched(self._hess, x, n * n).reshape(x.shape[:-1] + (n, n))
+        H += np.swapaxes(np.triu(H, 1), -1, -2)  # the upper triangle, mirrored
+        return H
 
     def sphere_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad_S f = grad F - <grad F, x> x, at one point or at each C-contiguous row of x."""
         g = self.gradient(x)
-        if x.ndim == 1:
-            return g - (g @ x) * x
-        return g - _row_dots(g, x)[:, None] * x
+        return g - _dots(g, x) * x
 
 
 def geometry(fam: IsoparametricFamily) -> FamilyGeometry:
@@ -301,6 +333,13 @@ def sample_level(
     submanifolds where the gradient on the sphere degenerates.  A family
     on S^1 is refused: its level sets are points, with no shape operator.
     """
+    geo = _level_geometry(fam, t, allow_extreme)
+    x, g, value = _converge(geo, t, seed)
+    return _surface_point(geo, x, value, g)
+
+
+def _level_geometry(fam: IsoparametricFamily, t: float, allow_extreme: bool) -> FamilyGeometry:
+    """The geometry of fam, once the level t is known to have a shape operator."""
     if fam.ambient_dim < 3:
         raise DomainError(f"{fam.name}: level sets in S^1 are points, with no shape operator")
     if not -1.0 < t < 1.0:
@@ -310,17 +349,22 @@ def sample_level(
             f"|t| = {abs(t)} is inside the focal guard band: "
             f"levels are sampled only at |t| <= {LEVEL_GUARD}"
         )
-    geo = geometry(fam)
+    return geometry(fam)
+
+
+def _converge(geo: FamilyGeometry, t: float, seed: int) -> tuple:
+    """(x, grad F(x), F(x)) from the first of 12 seeded starts that _project
+    brings onto M_t away from a critical point of F|S^n."""
     rng = np.random.default_rng(seed)
     for _attempt in range(12):
         x = rng.normal(size=geo.n_amb)
         projected = _project(geo, x / np.linalg.norm(x), t)
         if projected is None:
             continue
-        x, g, value = projected
+        x, g, _ = projected
         if np.linalg.norm(g - (g @ x) * x) < 1e-6:
             continue  # critical point of F|S^n, resample
-        return _surface_point(geo, x, value, g)
+        return projected
     raise SamplingError(
         f"no convergent sample on level t = {t} after 12 seeded starts"
     )
@@ -356,20 +400,37 @@ def _project(geo: FamilyGeometry, x: np.ndarray, t: float):
 
 def _surface_point(geo: FamilyGeometry, x: np.ndarray, t: float, g: np.ndarray) -> SurfacePoint:
     """The point x of M_t with its frame, from g = grad F(x)."""
-    radial = float(g @ x)
+    return SurfacePoint(geo, x, t, *_frame(geo, x, g))
+
+
+def _frame(geo: FamilyGeometry, x: np.ndarray, g: np.ndarray) -> tuple:
+    """(xi, basis, shape, asymmetry) at x, from g = grad F(x).
+
+    x and g are one point, shape (n,), or a stack, the C-contiguous rows of
+    (B, n) arrays; a stack runs each stage once, one chunked Hessian, one
+    QR and one product B^T H B, and returns its results stacked along the
+    leading axis, each bit-identical to the one-point frame.  A check that
+    fails at any point of a stack raises.
+    """
+    radial = _dots(g, x)  # <grad F, x>
     gs = g - radial * x  # grad_S f
-    norm = float(np.linalg.norm(gs))
-    if norm < 1e-9:
+    norm = np.sqrt(_dots(gs, gs))
+    if (norm < 1e-9).any():
         raise PreconditionError("gradient on the sphere degenerates at this point")
     xi = gs / norm
-    # Q is orthonormal with its first two columns spanning {x, xi}, so the
-    # remaining n - 2 columns are a basis of the tangent space, deterministic
-    Q, R = np.linalg.qr(np.column_stack([x, xi, np.eye(len(x))]))
-    if abs(R[1, 1]) < 1e-10:
+    # Q of [x, xi, Id] is orthonormal with its first two columns spanning
+    # {x, xi}, so the remaining n - 2 columns are a basis of the tangent
+    # space, deterministic
+    n = geo.n_amb
+    M = np.empty(x.shape + (n + 2,))
+    M[..., 0], M[..., 1], M[..., 2:] = x, xi, np.eye(n)
+    Q, R = np.linalg.qr(M)
+    if (np.abs(R[..., 1, 1]) < 1e-10).any():
         raise PreconditionError("normal direction degenerates against the position")
-    basis = Q[:, 2:]
-    shape, asymmetry = shape_operator(geo, x, basis, radial, norm)
-    return SurfacePoint(geo, x, t, xi, basis, shape, asymmetry)
+    del R  # a stack's R is as large as Q: free it before the Hessian stack
+    basis = Q[..., 2:]
+    shape, asymmetry = shape_operator(geo, x, basis, radial[..., None], norm[..., None])
+    return xi, basis, shape, asymmetry
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +439,27 @@ def _surface_point(geo: FamilyGeometry, x: np.ndarray, t: float, g: np.ndarray) 
 
 
 def shape_operator(
-    geo: FamilyGeometry, x: np.ndarray, basis: np.ndarray, radial: float, grad_norm: float
-) -> tuple[np.ndarray, float]:
+    geo: FamilyGeometry,
+    x: np.ndarray,
+    basis: np.ndarray,
+    radial: np.ndarray,
+    grad_norm: np.ndarray,
+) -> tuple:
     """A = -(Hess F - <grad F, x> Id)|_T / |grad_S f| on span(basis), symmetrized.
 
-    radial is <grad F, x> and grad_norm is |grad_S f|.  Returns the
-    symmetrized A and its asymmetry max |A - A^T|, which must not exceed 1e-8.
+    x is one point or a stack of points along a leading axis, and basis its
+    tangent basis or their stack; radial is <grad F, x> and grad_norm is
+    |grad_S f|, each broadcasting against the (..., n - 2, n - 2)
+    matrices.  Returns the symmetrized A and its asymmetry max |A - A^T|,
+    one per point, which must not exceed 1e-8 at any point.
     """
-    Ht = basis.T @ geo.hessian(x) @ basis - radial * np.eye(basis.shape[1])
+    Ht = np.swapaxes(basis, -1, -2) @ geo.hessian(x) @ basis - radial * np.eye(basis.shape[-1])
     A = -(Ht) / grad_norm
-    asym = float(np.max(np.abs(A - A.T)))
-    if asym > 1e-8:
-        raise PreconditionError(f"shape operator asymmetry {asym} exceeds 1e-8")
-    return 0.5 * (A + A.T), asym
+    At = np.swapaxes(A, -1, -2)
+    asym = np.abs(A - At).max(axis=(-2, -1))
+    if (asym > 1e-8).any():
+        raise PreconditionError(f"shape operator asymmetry {float(np.max(asym))} exceeds 1e-8")
+    return 0.5 * (A + At), asym
 
 
 def principal_curvatures(pt: SurfacePoint) -> np.ndarray:
@@ -616,7 +685,7 @@ def parallel_map_rank(pt: SurfacePoint, angle: float) -> tuple[int, np.ndarray]:
     vector, are formed as the C-contiguous rows of one array, projected to
     the sphere and sent through one batched sphere_gradient, which
     evaluates them in chunks (EVAL_CHUNK_PRODUCTS).  Row norms are read by
-    _row_dots, so each normal xi(y) = grad_S f / |grad_S f| at y / |y| is
+    _dots, so each normal xi(y) = grad_S f / |grad_S f| at y / |y| is
     bit-identical to the one computed point by point with np.linalg.norm.
     """
     geo = pt.geometry
@@ -626,9 +695,9 @@ def parallel_map_rank(pt: SurfacePoint, angle: float) -> tuple[int, np.ndarray]:
     for step in (FD_STEP, FD_STEP * 10, FD_STEP / 10):
         offsets = step * tangents
         y = np.concatenate([pt.x + offsets, pt.x - offsets])
-        y /= np.sqrt(_row_dots(y, y))[:, None]
+        y /= np.sqrt(_dots(y, y))
         gs = geo.sphere_gradient(y)
-        xi = gs / np.sqrt(_row_dots(gs, gs))[:, None]
+        xi = gs / np.sqrt(_dots(gs, gs))
         dxi = (xi[:half] - xi[half:]) / (2 * step)
         J = np.vstack([cos * tangents + sin * dxi, -sin * pt.x + cos * pt.xi]).T
         sv = np.linalg.svd(J, compute_uv=False)
@@ -687,9 +756,27 @@ def spectrum_report(
     Constancy of the principal curvatures across sample points is the
     defining property of an isoparametric family; the report carries the
     worst elementwise deviation between the per-seed sorted spectra.
+
+    The seeds converge one at a time, in seed order; their frames are
+    measured as stacks of max(1, EVAL_CHUNK_PRODUCTS // (n (n + 2)))
+    points, the entries of one (n, n + 2) QR input each.  Every error is
+    the one sample_level raises for the first seed that fails.
     """
     seeds = tuple(base_seed + i for i in range(num_seeds))
-    all_eigs = [principal_curvatures(sample_level(fam, t, seed=s)) for s in seeds]
+    geo = _level_geometry(fam, t, allow_extreme=False)
+    n = geo.n_amb
+    chunk = max(1, EVAL_CHUNK_PRODUCTS // (n * (n + 2)))
+    all_eigs, pending = [], []
+    for seed in seeds:
+        try:
+            pending.append(_converge(geo, t, seed))
+        except SamplingError:
+            if pending:  # a frame before this seed may fail first
+                _curvatures(geo, pending)
+            raise
+        if len(pending) == chunk or seed == seeds[-1]:
+            all_eigs.extend(_curvatures(geo, pending))
+            pending = []
 
     stacked = np.vstack(all_eigs)
     deviation = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
@@ -703,3 +790,20 @@ def spectrum_report(
         cross_seed_deviation=deviation,
         seed_agreement_ok=deviation <= SEED_AGREEMENT_TOL,
     )
+
+
+def _curvatures(geo: FamilyGeometry, points: list) -> np.ndarray:
+    """The principal curvatures at each converged (x, g, value) of points, one row per point.
+
+    The frames are one stack.  When a check fails in it, the frames are
+    measured again one by one, so the error raised is the first point's.
+    """
+    x = np.array([x for x, _, _ in points])
+    g = np.array([g for _, g, _ in points])
+    try:
+        shape = _frame(geo, x, g)[2]
+    except PreconditionError:
+        for x, g, _ in points:
+            _frame(geo, x, g)
+        raise
+    return np.linalg.eigvalsh(shape)

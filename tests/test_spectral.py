@@ -514,21 +514,31 @@ def test_point_frame_matches_the_reference_route_bit_for_bit(build):
             assert sv == ref.focal_singular_values(pt, k)
 
 
+# fkm(9,1) lives in R^32: a spectrum measures its frames in stacks of this
+# many points, each one (32, 34) QR input
+FKM_9_1_FRAMES = spectral.EVAL_CHUNK_PRODUCTS // (32 * 34)
+
+
 @pytest.mark.parametrize(
-    "argv, points, fd_points",
+    "argv, points, frame_calls, fd_points",
     [
-        (("focal", "--t", "0.2", "--index", "0"), 1, 60),
-        (("parallel", "--t", "0.2", "--travel", "0.3"), 2, 0),
-        (("spectrum", "--t", "0.2", "--seeds", "20"), 20, 0),
+        (("focal", "--t", "0.2", "--index", "0"), 1, 1, 60),
+        (("parallel", "--t", "0.2", "--travel", "0.3"), 2, 2, 0),
+        (("spectrum", "--t", "0.2", "--seeds", "20"), 20, math.ceil(20 / FKM_9_1_FRAMES), 0),
     ],
     ids=["focal", "parallel", "spectrum-20"],
 )
-def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points, fd_points):
-    # a sampled or displaced point gets one Hessian and one QR, and no
-    # gradient is evaluated twice at the same x within a request, counting
-    # each row of a batch as one x; the focal check's 2 (n - 2) = 60
-    # finite-difference points go to the table in chunks, not one by one
-    calls = {"gradient": [], "hessian": [], "qr": 0, "batches": []}
+def test_each_point_evaluates_its_frame_once(
+    monkeypatch, capsys, argv, points, frame_calls, fd_points
+):
+    # a sampled or displaced point gets one Hessian row and one QR matrix,
+    # counted in rows, since a spectrum stacks its frames: 20 seeds make
+    # ceil(20 / 15) Hessian and QR calls; no gradient is evaluated twice at
+    # the same x within a request, counting each row of a batch as one x;
+    # the focal check's 2 (n - 2) = 60 finite-difference points go to the
+    # gradient table in chunks, not one by one
+    assert 1 < FKM_9_1_FRAMES < 20
+    calls = {"gradient": [], "hessian": [], "hessian_calls": 0, "qr": [], "batches": []}
     gradient, hessian = spectral.FamilyGeometry.gradient, spectral.FamilyGeometry.hessian
     qr, evaluate = np.linalg.qr, spectral._evaluate
 
@@ -537,17 +547,18 @@ def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points, 
         return gradient(self, x)
 
     def counted_evaluate(table, x, size):
-        if x.ndim == 2:
+        if x.ndim == 2 and size == 32:  # a batch of the gradient table
             calls["batches"].append((len(x), len(table[1])))
         return evaluate(table, x, size)
 
     def counted_hessian(self, x):
-        calls["hessian"].append(x.tobytes())
+        calls["hessian"].extend(row.tobytes() for row in np.atleast_2d(x))
+        calls["hessian_calls"] += 1
         return hessian(self, x)
 
-    def counted_qr(*args, **kwargs):
-        calls["qr"] += 1
-        return qr(*args, **kwargs)
+    def counted_qr(a, *args, **kwargs):
+        calls["qr"].append(len(a.reshape(-1, *a.shape[-2:])))  # matrices in the stack
+        return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(spectral.FamilyGeometry, "gradient", counted_gradient)
     monkeypatch.setattr(spectral.FamilyGeometry, "hessian", counted_hessian)
@@ -557,7 +568,8 @@ def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points, 
     capsys.readouterr()
     assert code == 0
     assert len(calls["hessian"]) == len(set(calls["hessian"])) == points
-    assert calls["qr"] == points
+    assert calls["hessian_calls"] == frame_calls
+    assert sum(calls["qr"]) == points and len(calls["qr"]) == frame_calls
     repeats = len(calls["gradient"]) - len(set(calls["gradient"]))
     assert repeats == 0
     assert sum(size for size, _ in calls["batches"]) == fd_points
@@ -566,6 +578,98 @@ def test_each_point_evaluates_its_frame_once(monkeypatch, capsys, argv, points, 
         per_chunk = spectral.EVAL_CHUNK_PRODUCTS // table_rows
         assert 1 < per_chunk < fd_points
         assert len(calls["batches"]) == math.ceil(fd_points / per_chunk)
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_spectrum_report_eigenvalues_match_sample_level_bit_for_bit(monkeypatch, name):
+    # the stacked frames of spectrum_report against one sample_level and
+    # one eigvalsh per seed: one seed, one full stack, a full stack plus
+    # one, and 20 seeds
+    fam = BUILDERS[name]()
+    n = fam.ambient_dim
+    frames = max(1, spectral.EVAL_CHUNK_PRODUCTS // (n * (n + 2)))
+    t, base = 0.2, 40
+    eigvalsh, stacks = np.linalg.eigvalsh, []
+
+    def recorded(a):
+        stacks.append(eigvalsh(a))
+        return stacks[-1]
+
+    for num_seeds in sorted({1, frames, frames + 1, 20}):
+        seeds = range(base, base + num_seeds)
+        expected = np.array(
+            [spectral.principal_curvatures(spectral.sample_level(fam, t, seed=s)) for s in seeds]
+        )
+        stacks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", recorded)
+            report = spectral.spectrum_report(fam, t, num_seeds=num_seeds, base_seed=base)
+        assert len(stacks) == math.ceil(num_seeds / frames)
+        assert np.concatenate(stacks).tobytes() == expected.tobytes()
+        assert report.spectrum.eigenvalues == tuple(sorted(float(v) for v in expected[0]))
+        spread = float(np.max(expected.max(axis=0) - expected.min(axis=0)))
+        assert report.cross_seed_deviation == spread
+
+
+@pytest.mark.parametrize(
+    "skews, newton_fails, error",
+    [
+        ({3: 1.0}, 5, PreconditionError),
+        ({16: 1.0}, 18, PreconditionError),
+        ({5: 1.0}, 3, SamplingError),
+        ({3: 1.0, 7: 100.0}, None, PreconditionError),
+    ],
+    ids=["first-stack", "second-stack", "newton-first", "two-frames"],
+)
+def test_spectrum_report_raises_the_first_failing_seeds_error(
+    monkeypatch, skews, newton_fails, error
+):
+    # seed base + i of skews gets a Hessian made asymmetric by skews[i], and
+    # every start of seed base + newton_fails is refused by the Newton loop;
+    # a stack holds 15 seeds, so the failing seeds of a case share one, and
+    # the error raised must be the one the per-seed route, sample_level and
+    # eigvalsh seed after seed, meets first (in "two-frames" the stack's
+    # worst asymmetry is the later seed's)
+    fam = BUILDERS["fkm(9,1)"]()
+    n, t, base = fam.ambient_dim, 0.2, 100
+    failing = [*skews] + ([] if newton_fails is None else [newton_fails])
+    assert len({i // FKM_9_1_FRAMES for i in failing}) == 1
+    skewed = {
+        spectral.sample_level(fam, t, seed=base + i).x.tobytes(): skew for i, skew in skews.items()
+    }
+    refused = set()
+    if newton_fails is not None:
+        starts = np.random.default_rng(base + newton_fails).normal(size=(12, n))
+        refused = {(x / np.linalg.norm(x)).tobytes() for x in starts}
+    hessian, project = spectral.FamilyGeometry.hessian, spectral._project
+
+    def skewed_hessian(self, x):
+        H = hessian(self, x)
+        for row, h in zip(np.atleast_2d(x), H.reshape(-1, n, n)):
+            h[0, 1] += skewed.get(row.tobytes(), 0.0)
+        return H
+
+    def refusing_project(geo, x, t):
+        return None if x.tobytes() in refused else project(geo, x, t)
+
+    def per_seed():
+        for seed in range(base, base + 20):
+            spectral.principal_curvatures(spectral.sample_level(fam, t, seed=seed))
+
+    # each failure alone, then both
+    cases = [({"hessian": skewed_hessian}, PreconditionError)]
+    if refused:
+        cases.append(({"_project": refusing_project}, SamplingError))
+        cases.append(({"hessian": skewed_hessian, "_project": refusing_project}, error))
+    for patches, raised in cases:
+        with monkeypatch.context() as patch:
+            for name, fn in patches.items():
+                patch.setattr(spectral.FamilyGeometry if name == "hessian" else spectral, name, fn)
+            with pytest.raises(raised) as expected:
+                per_seed()
+            with pytest.raises(raised) as measured:
+                spectral.spectrum_report(fam, t, num_seeds=20, base_seed=base)
+        assert str(measured.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +695,11 @@ def test_geometry_tables_match_exact_derivatives(fam):
 
     def row_products(table, x, size):
         # one product per row over the whole padded row, as numpy reduces it
-        columns, coeffs, slots = table
-        rows = columns.T
+        rows = table.columns.T
         return np.bincount(
-            slots, coeffs * np.prod(np.append(x, 1.0)[rows], axis=1), minlength=size
+            table.slots,
+            table.coeffs * np.prod(np.append(x, 1.0)[rows], axis=1),
+            minlength=size,
         )
 
     for seed in (1, 2, 3):
@@ -645,6 +750,21 @@ def test_batched_gradient_rows_match_the_one_point_call_bit_for_bit(monkeypatch,
             assert gs_row.tobytes() == geo.sphere_gradient(row).tobytes()
 
 
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_batched_hessian_matches_the_one_point_call_bit_for_bit(name):
+    # B = 1, 2, one full chunk and two chunks plus one point
+    geo = spectral.geometry(BUILDERS[name]())
+    n, per_chunk = geo.n_amb, geo._hess.chunk
+    rng = np.random.default_rng(12)
+    for size in sorted({1, 2, per_chunk, 2 * per_chunk + 1}):
+        x = rng.normal(size=(size, n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        H = geo.hessian(x)
+        assert H.shape == (size, n, n)
+        for row, h in zip(x, H):
+            assert h.tobytes() == geo.hessian(row).tobytes()
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -669,5 +789,5 @@ def test_table_coefficients_are_the_rounded_exact_coefficients(build):
                 if j >= i:
                     hess.append(float(c * (mono[i] * di.count(j))))
     geo = spectral.FamilyGeometry(fam)
-    for (_, coeffs, _), exact in zip((geo._grad, geo._hess), (grad, hess)):
-        assert coeffs.tobytes() == np.array(exact).tobytes()
+    for table, exact in zip((geo._grad, geo._hess), (grad, hess)):
+        assert table.coeffs.tobytes() == np.array(exact).tobytes()
