@@ -289,10 +289,6 @@ class OrbitSpectrumReport(Report):
         "SO(3) orbit in the traceless symmetric part of su(3)"
     )
 
-    @property
-    def lambda_positive(self) -> ScalarQ3:
-        return max(self.eigenvalues_exact, key=float)
-
 
 def _so3_basis() -> list[np.ndarray]:
     L1 = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex)

@@ -31,9 +31,10 @@ converge, ambiguous clustering, a focal travel angle, a construction that
 failed its own relations).
 
 The --family choices and the arguments each family needs come from one
-registry, FAMILIES.  Each row also gives the family's ambient dimension
-from those arguments, which is checked against MAX_AMBIENT_DIM before
-anything is built.  A family is built once per process for each set of
+registry, FAMILIES: each row is the required arguments and the factory
+over their values.  The factory is the whole build: the family factories
+in families check MAX_AMBIENT_DIM, which lives there, before they build
+anything.  A family is built once per process for each set of
 values of its required arguments: build_family keeps the last
 FAMILY_MEMO_SIZE = 16 families built, so a repeated request gets the same
 IsoparametricFamily object, and with it the derivative tables that
@@ -66,7 +67,7 @@ import sys
 
 from . import catalog as cat
 from . import spectral
-from .clifford import MAX_L, build_generators, build_system, generator_size, validate_system
+from .clifford import build_generators, build_system, validate_system
 from .cm_verifier import verify_cm
 from .division_algebras import AlgebraTag
 from .errors import (
@@ -79,6 +80,7 @@ from .errors import (
     StructureError,
 )
 from .families import (
+    MAX_AMBIENT_DIM,  # noqa: F401  (the CLI's cap is the factories' cap)
     IsoparametricFamily,
     cartan_cubic,
     det_cubic_cross_check,
@@ -87,7 +89,7 @@ from .families import (
     nomizu_family,
     product_family,
 )
-from .nurowski import check_conditions, dimension_catalog, extract_upsilon
+from .nurowski import DIM_TO_TAG, check_conditions, extract_upsilon
 
 SCHEMA_VERSION = 1
 USAGE_ERROR = 2
@@ -124,42 +126,23 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
-# --family name -> (required arguments, ambient dimension over their values,
-# factory over their values); each factory looks its builder up by global
-# name when it is called
+# --family name -> (required arguments, factory over their values); each
+# factory looks its builder up by global name when it is called
 FAMILIES = {
-    "linear": (("n",), lambda n: n + 1, lambda n: linear_family(n)),
-    "product": (("n", "k"), lambda n, k: n + 1, lambda n, k: product_family(n, k)),
-    "cartan-cubic": (
-        ("algebra",),
-        lambda algebra: 3 * AlgebraTag[algebra].dim + 2,
-        lambda algebra: cartan_cubic(AlgebraTag[algebra]),
-    ),
-    "fkm": (
-        ("m", "k"),
-        lambda m, k: 2 * generator_size(m, k),
-        lambda m, k: fkm_family(build_system(build_generators(m, k))),
-    ),
-    "nomizu": (("n",), lambda n: 2 * n + 2, lambda n: nomizu_family(n)),
+    "linear": (("n",), lambda n: linear_family(n)),
+    "product": (("n", "k"), lambda n, k: product_family(n, k)),
+    "cartan-cubic": (("algebra",), lambda algebra: cartan_cubic(AlgebraTag[algebra])),
+    "fkm": (("m", "k"), lambda m, k: fkm_family(build_system(build_generators(m, k)))),
+    "nomizu": (("n",), lambda n: nomizu_family(n)),
 }
-# the largest ambient R^N a family is built in: fkm at l = MAX_L
-MAX_AMBIENT_DIM = 2 * MAX_L
 # built families kept, least recently used dropped first; a benchmark
 # workload asks for at most 5 distinct ones
 FAMILY_MEMO_SIZE = 16
-# nurowski check --dim -> the algebra of the Cartan cubic realizing it
-_DIM_ALGEBRA = {e.n: AlgebraTag(e.k).name for e in dimension_catalog()}
 
 
 @functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
 def _built_family(name: str, values: tuple) -> IsoparametricFamily:
-    _, ambient_dim, factory = FAMILIES[name]
-    dim = ambient_dim(*values)
-    if dim > MAX_AMBIENT_DIM:
-        raise DomainError(
-            f"{name} would live in R^{dim}; the largest ambient built is R^{MAX_AMBIENT_DIM}"
-        )
-    return factory(*values)
+    return FAMILIES[name][1](*values)
 
 
 def build_family(args) -> IsoparametricFamily:
@@ -224,7 +207,7 @@ def cmd_focal(args) -> tuple[str, int]:
 
 
 def cmd_nurowski_check(args) -> tuple[str, int]:
-    fam = _built_family("cartan-cubic", (_DIM_ALGEBRA[args.dim],))
+    fam = _built_family("cartan-cubic", (DIM_TO_TAG[args.dim].name,))
     report = check_conditions(extract_upsilon(fam.F))
     result = report.to_dict()
     if args.dim == 5:
@@ -360,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_nur = sub.add_parser("nurowski", help="symmetric 3-tensor conditions")
     nur_sub = p_nur.add_subparsers(dest="nurowski_command", required=True)
     p_check = nur_sub.add_parser("check", help="verify conditions (1)-(3)")
-    p_check.add_argument("--dim", type=int, required=True, choices=tuple(_DIM_ALGEBRA))
+    p_check.add_argument("--dim", type=int, required=True, choices=tuple(DIM_TO_TAG))
     p_check.add_argument("--output", "-o")
     p_check.set_defaults(func=cmd_nurowski_check)
 

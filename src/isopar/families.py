@@ -11,8 +11,8 @@ expected curvature multiplicities.  The families:
                    (tubes around projective planes, ambient dim 3d+2)
   fkm_family       the Clifford quartic <x,x>^2 - 2 sum_i <P_i x, x>^2
                    of Ferus, Karcher and Muenzner, p = 4
-  nomizu_family    Nomizu's quartic on R^(2n+2), normalized to degree-4
-                   Cartan-Muenzner form, p = 4
+  nomizu_family    Nomizu's quartic on R^(2n+2): minus the m = 1 Clifford
+                   quartic on l = n + 1, p = 4
 
 plus the Nurowski determinant cubic on R^5 and its cross check against the
 expanded form.
@@ -29,6 +29,12 @@ Conventions that need calling out:
 * Nomizu's quartic is G = (|x|^2 - |y|^2)^2 + 4 <x,y>^2 (the cross term
   must appear squared for G to be homogeneous of degree 4), and the
   Cartan-Muenzner representative of its level family is F = 2G - r^4.
+  For z = (x, y) the m = 1 system P_0 = K (x) Id, P_1 = L (x) Id gives
+  <P_0 z, z> = |x|^2 - |y|^2 and <P_1 z, z> = 2 <x,y>, so F is minus the
+  Clifford quartic and one builder makes both.
+* The ambient cap MAX_AMBIENT_DIM = 512 = 2 MAX_L lives here: linear,
+  product and nomizu refuse a larger R^N before building; fkm inherits
+  build_generators' l <= MAX_L, and the largest cubic lives in R^26.
 """
 
 from __future__ import annotations
@@ -37,11 +43,21 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import CliffordSystem, SignedPerm, delta
+from .clifford import MAX_L, CliffordSystem, SignedPerm, build_generators, build_system, delta
 from .division_algebras import AlgebraTag, cayley_dickson_mul
 from .errors import DomainError, PreconditionError
 from .polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
 from .report import Report, report_key
+
+# the largest ambient R^N a family is built in: fkm at l = MAX_L
+MAX_AMBIENT_DIM = 2 * MAX_L
+
+
+def _check_ambient(kind: str, dim: int) -> None:
+    if dim > MAX_AMBIENT_DIM:
+        raise DomainError(
+            f"{kind} would live in R^{dim}; the largest ambient built is R^{MAX_AMBIENT_DIM}"
+        )
 
 
 @dataclass(frozen=True)
@@ -74,15 +90,12 @@ class IsoparametricFamily(Report):
                     f"dim M = p (m1 + m2) / 2"
                 )
 
-    @property
-    def sphere_dim(self) -> int:
-        return self.ambient_dim - 1
-
 
 def linear_family(n: int) -> IsoparametricFamily:
     """Height function F = x_{n+1} on R^(n+1); level sets are hyperspheres."""
     if n < 1:
         raise DomainError("sphere dimension must be positive")
+    _check_ambient("linear", n + 1)
     return IsoparametricFamily(
         name=f"linear(n={n})",
         p=1,
@@ -103,6 +116,7 @@ def product_family(n: int, k: int) -> IsoparametricFamily:
     """
     if n < 1:
         raise DomainError("sphere dimension must be positive")
+    _check_ambient("product", n + 1)
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in 1..{n}, got {k}")
     if n >= 2 and k in (1, n):
@@ -111,16 +125,12 @@ def product_family(n: int, k: int) -> IsoparametricFamily:
             f"product(n={n},k={k}) has multiplicity {zero} = 0: its level sets are "
             "two round spheres, with p = 1, not the declared 2"
         )
-    terms = {}
-    for i in range(n + 1):
-        mono = [0] * (n + 1)
-        mono[i] = 2
-        terms[tuple(mono)] = 1 if i < k else -1
+    signs = (1,) * k + (-1,) * (n + 1 - k)
     return IsoparametricFamily(
         name=f"product(n={n},k={k})",
         p=2,
         ambient_dim=n + 1,
-        F=Poly(n + 1, terms),
+        F=_quadratic_form(SignedPerm(tuple(range(n + 1)), signs), n + 1),
         expected_multiplicities=(k - 1, n - k),
         provenance="sphere products S^a(r) x S^b(s), r^2+s^2=1 (p=2 case, Cartan)",
     )
@@ -201,6 +211,21 @@ def _quadratic_form(P: SignedPerm, num_vars: int) -> Poly:
     return Poly(num_vars, terms)
 
 
+def _clifford_quartic(system: CliffordSystem) -> Poly:
+    """<x,x>^2 - 2 sum_{i=0}^{m} <P_i x, x>^2 on R^(2l).
+
+    Shared by fkm_family and nomizu_family; private, so that a tracer
+    wrapping the public factories counts each family's terms once.
+    """
+    nv = 2 * system.l
+    r2 = sum_of_squares(nv)
+    F = r2 * r2
+    for P in system.mats:
+        q = _quadratic_form(P, nv)
+        F = F - (q * q).scale(2)
+    return F
+
+
 def fkm_family(system: CliffordSystem) -> IsoparametricFamily:
     """The Clifford quartic F = <x,x>^2 - 2 sum_{i=0}^{m} <P_i x, x>^2.
 
@@ -215,17 +240,12 @@ def fkm_family(system: CliffordSystem) -> IsoparametricFamily:
             f"m2 = l - m - 1 = {m2}"
         )
     nv = 2 * l
-    r2 = sum_of_squares(nv)
-    F = r2 * r2
-    for P in system.mats:
-        q = _quadratic_form(P, nv)
-        F = F - (q * q).scale(2)
     k = l // delta(m)
     return IsoparametricFamily(
         name=f"fkm(m={m},k={k})",
         p=4,
         ambient_dim=nv,
-        F=F,
+        F=_clifford_quartic(system),
         expected_multiplicities=(m1, m2),
         provenance=(
             f"Clifford quartic of Ferus-Karcher-Muenzner type from a system "
@@ -239,25 +259,20 @@ def nomizu_family(n: int) -> IsoparametricFamily:
 
     G = (|x|^2 - |y|^2)^2 + 4 <x,y>^2 satisfies |grad G|^2 = 16 G r^2; the
     normalized representative F = 2G - r^4 satisfies |grad F|^2 = 16 r^6
-    and lap F = 8 (m2 - m1) r^2 with multiplicities (n-1, 1).
+    and lap F = 8 (m2 - m1) r^2 with multiplicities (n-1, 1).  F is built
+    as minus the Clifford quartic of the m = 1 system on l = n + 1.
+
+    n >= 256, whose ambient lies above MAX_AMBIENT_DIM, is refused.
     """
     if n < 2:
         raise DomainError("need n >= 2")
     nv = 2 * n + 2
-    x = [Poly.variable(nv, i) for i in range(n + 1)]
-    y = [Poly.variable(nv, n + 1 + i) for i in range(n + 1)]
-    diff = _block_norm2(x) - _block_norm2(y)
-    dot = Poly.zero(nv)
-    for xi, yi in zip(x, y):
-        dot = dot + xi * yi
-    G = diff * diff + (dot * dot).scale(4)
-    r2 = sum_of_squares(nv)
-    F = G.scale(2) - r2 * r2
+    _check_ambient("nomizu", nv)
     return IsoparametricFamily(
         name=f"nomizu(n={n})",
         p=4,
         ambient_dim=nv,
-        F=F,
+        F=-_clifford_quartic(build_system(build_generators(1, n + 1))),
         expected_multiplicities=(n - 1, 1),
         provenance=(
             "Nomizu's quartic for the isotropy orbits of the oriented "

@@ -189,7 +189,9 @@ _CATALOG = (
     ),
 )
 
-_DIM_TO_TAG = {e.n: AlgebraTag(e.k) for e in _CATALOG}
+# dimension -> the algebra of the Cartan cubic realizing it; also the CLI's
+# nurowski check --dim choices
+DIM_TO_TAG = {e.n: AlgebraTag(e.k) for e in _CATALOG}
 
 
 def dimension_catalog() -> tuple[DimensionEntry, ...]:
@@ -203,9 +205,9 @@ def upsilon_for_dimension(n: int) -> UpsilonTensor:
     Builds a fresh cartan_cubic family on every call, for library callers;
     the CLI reads the same cubic from its family memo instead.
     """
-    tag = _DIM_TO_TAG.get(n)
+    tag = DIM_TO_TAG.get(n)
     if tag is None:
         raise PreconditionError(
-            f"no cubic solution in dimension {n}; supported: {sorted(_DIM_TO_TAG)}"
+            f"no cubic solution in dimension {n}; supported: {sorted(DIM_TO_TAG)}"
         )
     return extract_upsilon(cartan_cubic(tag).F)

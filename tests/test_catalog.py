@@ -138,7 +138,7 @@ def test_orbit_eigenvalues_symmetric_with_zero():
 
 def test_orbit_unit_normalization_is_sqrt3():
     rep = su3_orbit_spectrum()
-    assert rep.lambda_positive == ScalarQ3(0, 1)  # exactly sqrt 3
+    assert max(rep.eigenvalues_exact, key=float) == ScalarQ3(0, 1)  # exactly sqrt 3
     assert rep.eigenvalues_float[0] == pytest.approx(math.sqrt(3), abs=1e-12)
 
 

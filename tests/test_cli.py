@@ -311,6 +311,10 @@ PINNED_STDOUT = [
         "40add647b022cb526e48fb11db4c85245fe4b9d5c84fd09cd7187ea9a4c6b076",
     ),
     (
+        ("family", "build", "--family", "nomizu", "--n", "4"),
+        "ca5113ef0296e0a78794f06546829c2dcb0f75cd08acb7fc5e5d4ba959844e5e",
+    ),
+    (
         ("nurowski", "check", "--dim", "5"),
         "5c6a2f1c583e733ea24d4d542f66c106922bdca726136dd92d9bfd2e28eac7e8",
     ),
@@ -329,6 +333,10 @@ PINNED_STDOUT = [
     (
         ("verify", "cm", "--family", "fkm", "--m", "2", "--k", "2"),
         "d19b2787cd663148a46a4a4a27a0bb1168f70b75549624312a37355499f1f5e0",
+    ),
+    (
+        ("verify", "cm", "--family", "nomizu", "--n", "4"),
+        "d64481b4fd750434102e842d11556a424dea74e4be8f30fa0dc507add3cec3dd",
     ),
 ]
 
@@ -453,7 +461,7 @@ def test_clifford_size_above_cap_is_usage_error(capsys, argv):
     ids=["product-n1e5", "linear-n512", "nomizu-n256"],
 )
 def test_ambient_dimension_above_cap_is_usage_error(capsys, argv):
-    # each registry row gives its ambient dimension, checked before the build
+    # each factory checks its ambient dimension before it builds anything
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -8,6 +8,7 @@ from isopar.clifford import build_generators, build_system
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import DomainError
 from isopar.families import (
+    MAX_AMBIENT_DIM,
     cartan_cubic,
     det_cubic_cross_check,
     fkm_family,
@@ -157,18 +158,34 @@ def test_fkm_value_at_basis_point():
 # ---------------------------------------------------------------------------
 
 
-def test_nomizu_gradient_identity_of_raw_polynomial():
-    # |grad G|^2 = 16 G r^2 as an exact polynomial identity
-    n = 3
+def _nomizu_raw_G(n: int) -> Poly:
+    """G = (|x|^2 - |y|^2)^2 + 4 <x,y>^2 on R^(2n+2), expanded by hand."""
     nv = 2 * n + 2
     x = [Poly.variable(nv, i) for i in range(n + 1)]
     y = [Poly.variable(nv, n + 1 + i) for i in range(n + 1)]
     nx = sum((v * v for v in x), Poly.zero(nv))
     ny = sum((v * v for v in y), Poly.zero(nv))
     dot = sum((a * b for a, b in zip(x, y)), Poly.zero(nv))
-    G = (nx - ny) * (nx - ny) + (dot * dot).scale(4)
+    return (nx - ny) * (nx - ny) + (dot * dot).scale(4)
+
+
+def test_nomizu_gradient_identity_of_raw_polynomial():
+    # |grad G|^2 = 16 G r^2 as an exact polynomial identity
+    nv = 8
+    G = _nomizu_raw_G(3)
     grad_sq = sum((G.differentiate(i) * G.differentiate(i) for i in range(nv)), Poly.zero(nv))
     assert (grad_sq - (G * sum_of_squares(nv)).scale(16)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_nomizu_is_normalized_raw_polynomial(n):
+    # the factory builds F from the m = 1 Clifford system; the hand expansion
+    # 2G - r^4 is its oracle.  The numeric tables sum F's terms in key
+    # order, so the order must match too.
+    r2 = sum_of_squares(2 * n + 2)
+    F, oracle = nomizu_family(n).F, _nomizu_raw_G(n).scale(2) - r2 * r2
+    assert F == oracle
+    assert list(F.items()) == list(oracle.items())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -183,6 +200,21 @@ def test_nomizu_shape(n):
 def test_nomizu_rejects_small_n():
     with pytest.raises(DomainError):
         nomizu_family(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: linear_family(512), lambda: product_family(512, 3), lambda: nomizu_family(256)],
+    ids=["linear-512", "product-512-3", "nomizu-256"],
+)
+def test_ambient_above_cap_is_refused_by_the_factory(build):
+    with pytest.raises(DomainError, match=r"R\^512"):
+        build()
+
+
+def test_ambient_at_cap_is_built():
+    assert linear_family(511).ambient_dim == MAX_AMBIENT_DIM
+    assert nomizu_family(255).ambient_dim == MAX_AMBIENT_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -237,4 +269,5 @@ def test_multiplicity_sum_rule():
         if fam.expected_multiplicities is None:
             continue
         m1, m2 = fam.expected_multiplicities
-        assert fam.p * (m1 + m2) == 2 * (fam.sphere_dim - 1)
+        n = fam.ambient_dim - 1  # the level sets lie in S^n
+        assert fam.p * (m1 + m2) == 2 * (n - 1)
