@@ -25,8 +25,10 @@ a zero multiplicity, spectrum, parallel or focal on a family in S^1, whose
 level sets are points, or at a --t with |t| > 0.95, inside the focal guard
 band, a Clifford size l = k delta(m) above 256 in clifford build or
 --family fkm, a family whose ambient dimension is above MAX_AMBIENT_DIM =
-512 = 2 MAX_L, the largest fkm ambient, and an --output path that cannot
-be written), 3 a numerical procedure failed at run time (sampling did not
+512 = 2 MAX_L, the largest fkm ambient, a verify cm whose |grad F|^2
+would take more than polyalg.MAX_RESIDUAL_PAIRS = 10 000 000 term pairs,
+predicted before any product is formed, as fkm(1,128) and fkm(9,4) would,
+and an --output path that cannot be written), 3 a numerical procedure failed at run time (sampling did not
 converge, ambiguous clustering, a focal travel angle, a construction that
 failed its own relations).
 

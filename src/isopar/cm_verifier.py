@@ -9,10 +9,13 @@ and a polynomial satisfying them has sphere level sets forming an
 isoparametric family with curvature multiplicities m1, m2.  Both residuals
 are computed as exact polynomials and tested for literal emptiness; there
 is no tolerance anywhere in this module.  The gradient residual is
-``F.gradient_residual(p^2, p - 1)``, that is |grad F|^2 - p^2 r^(2p-2)
-from one exact accumulator: all n squares (dF/dx_i)^2 are added into it,
-and the terms of p^2 r^(2p-2), generated by the multinomial theorem, are
-subtracted in place.  The Laplace target r^(p-2) is
+``F.gradient_residual(p^2, p - 1)``, that is |grad F|^2 - p^2 r^(2p-2):
+all n squares (dF/dx_i)^2 are added into exact accumulators, one for each
+residue class of the packed key mod q (one class below a budget of term
+pairs), and the terms of p^2 r^(2p-2), generated by the multinomial
+theorem, are subtracted in place.  Above MAX_RESIDUAL_PAIRS term pairs the
+residual is refused with PreconditionError before any product is formed
+(fkm(1,128) and fkm(9,4) are).  The Laplace target r^(p-2) is
 ``sum_of_squares(n, (p - 2) // 2)`` from the same generator, so no
 polynomial product is formed here.
 

@@ -29,8 +29,10 @@ Phys. 58, 2008), and ``check_conditions`` decides them as such:
       independent components checked.
 
 The residual is ``cm_verifier.gradient_residual(F, 3)``, that is
-``F.gradient_residual(9, 2)`` = |grad F|^2 - 9 r^4 from one accumulator,
-the polynomial ``verify_cm`` tests for every cubic.
+``F.gradient_residual(9, 2)`` = |grad F|^2 - 9 r^4, the polynomial
+``verify_cm`` tests for every cubic; the cubics are far below the term-pair
+budget at which that residual is split into residue classes of its keys,
+so it comes from one accumulator.
 
 Solutions exist exactly in ambient dimensions 3k + 2 for k = 1, 2, 4, 8,
 realized by the four Cartan cubics; dimension_catalog records the isotropy

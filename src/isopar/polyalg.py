@@ -29,12 +29,16 @@ Products accumulate term pairs into a numerator map in place, and a key is
 deleted the moment its sum cancels to 0, so every map stays canonical while
 it is filled and several products can share one map.  ``gradient_residual``
 uses this for |grad p|^2 - c r^(2m): the squares of all n partial
-derivatives go into one A map and one B map, with no intermediate Poly and
+derivatives go into an A map and a B map, with no intermediate Poly and
 no copy of a growing sum, and the terms of c r^(2m), generated by the
 multinomial theorem, are subtracted from the A map in place.  Inside this
 one call the keys have narrower fields, just wide enough for the exponents
 of the result (3 bits for a quartic); only the keys that survive are
 repacked to 8-bit fields, which stay the only key format a Poly stores.
+Key addition maps residue classes mod q onto their sum, so a large
+residual is built one class of k mod q at a time, with one class's maps
+alive at once (q = 1 below CLASS_PAIR_BUDGET term pairs); it is refused
+with PreconditionError above MAX_RESIDUAL_PAIRS term pairs.
 
 ScalarQ3 appears only at the boundary: ``items`` yields (exponent tuple,
 ScalarQ3) pairs, ``coefficient`` returns a ScalarQ3, and the constructor and
@@ -55,6 +59,7 @@ package only writes it; the tests' reference kernel reads it back.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -67,6 +72,27 @@ ScalarLike = Union["ScalarQ3", Fraction, int]
 _SQRT3 = math.sqrt(3.0)
 
 MAX_EXPONENT = 255  # the largest value of one 8-bit key field
+
+# gradient_residual splits |grad p|^2 into the classes of its keys mod q, q
+# the first of RESIDUE_MODULI with at most CLASS_PAIR_BUDGET term pairs per
+# class, else the last.  At q = 1 it is one pass over all squares: fkm(5,1)
+# (7936 pairs), fkm(1,16) (36096), fkm(3,3), nomizu(7) and the Cartan cubics.
+# Each modulus q > 1 is a prime with 8 = 2^3 a generator mod q, so on 3-bit
+# fields (every quartic and cubic) the classes spread over all the fields;
+# 7 would not do (8 = 1 mod 7 makes k mod 7 the degree mod 7, one class for
+# every product of a quartic), nor would a power of two (the last field
+# only).  A split costs about q^2 n / 2 product calls, so q stops at 29.
+# Measured on 2 cores, Python 3.11: fkm(9,1) (145920 pairs, q = 5) peaks at
+# 1.1 MB traced against 3.9 MB at q = 1, in the same time; fkm(9,2)
+# (2358784 pairs) at 8.2 / 4.0 / 3.3 MB for q = 11 / 29 / 59 against 49.5 MB
+# at q = 1, and q = 29 is no slower than q = 1.
+CLASS_PAIR_BUDGET = 1 << 16
+RESIDUE_MODULI = (1, 5, 11, 29)
+# Above this many term pairs gradient_residual refuses with PreconditionError.
+# Measured as above at q = 29: fkm(3,16) (6210048 pairs) 5.6 s and 36 MB
+# peak RSS, fkm(4,16) (8690688 pairs) 6.3 s and 38 MB; fkm(1,128)
+# (18825216) and fkm(9,4) (24880128) are refused.
+MAX_RESIDUAL_PAIRS = 10_000_000
 
 
 class ScalarQ3:
@@ -299,21 +325,28 @@ def _widen(nums: dict, num_vars: int, width: int) -> dict:
     }
 
 
-def _radial_terms(num_vars: int, m: int, width: int) -> dict:
-    """The numerator map of r^(2m) = (x_1^2 + ... + x_n^2)^m on ``width``-bit keys.
+def _radial_terms(num_vars: int, m: int, width: int, q: int = 1) -> Iterator[dict]:
+    """The numerator map of r^(2m) = (x_1^2 + ... + x_n^2)^m on ``width``-bit keys,
+    as q maps, each built when it is asked for: map T holds the terms whose
+    key is T mod q.
 
     By the multinomial theorem the term prod_j x_j^(2 k_j), k_1 + ... + k_n
     = m, has coefficient m! / prod_j k_j!.  The terms are built one factor
     r^2 at a time as the sorted index tuples i_1 <= ... <= i_t, each with
     its key, last index, run length k of that index and coefficient
     t! / prod_j k_j!: a new index i_t > i_(t-1) multiplies the coefficient
-    by t, and one more i_(t-1) by t / (k + 1).
+    by t, and one more i_(t-1) by t / (k + 1).  The tuples of the first
+    m - 1 factors are kept; map T takes from each the last indices i whose
+    x_i^2 puts the key in class T.
     """
     if m < 0:
         raise StructureError("negative polynomial powers are not defined")
     _check_product_degree(2 * m)
     if not m:
-        return {0: 1}
+        yield {0: 1}
+        for _ in range(1, q):
+            yield {}
+        return
     twos = [2 << width * (num_vars - 1 - i) for i in range(num_vars)]
     level = [(0, 0, 0, 1)]  # key, last index, its run length, coefficient
     for t in range(1, m):
@@ -323,14 +356,46 @@ def _radial_terms(num_vars: int, m: int, width: int) -> dict:
             coef *= t
             grown += [(key + twos[i], i, 1, coef) for i in range(last + 1, num_vars)]
         level = grown
-    # the last factor writes the map directly, with no tuple per term
-    out = {}
-    for key, last, run, coef in level:
-        out[key + twos[last]] = coef * m // (run + 1)
-        coef *= m
-        for two in twos[last + 1:]:
-            out[key + two] = coef
+    # the indices i, ascending, and keys of the x_i^2 in each class
+    squares: list[tuple[list, list]] = [([], []) for _ in range(q)]
+    for i, two in enumerate(twos):
+        squares[two % q][0].append(i)
+        squares[two % q][1].append(two)
+    for T in range(q):
+        # the last factor writes the map directly, with no tuple per term
+        out = {}
+        for key, last, run, coef in level:
+            indices, keys = squares[(T - key) % q]
+            j = bisect_left(indices, last)
+            if j < len(indices) and indices[j] == last:  # one more x_last^2
+                out[key + keys[j]] = coef * m // (run + 1)
+                j += 1
+            coef *= m
+            for two in keys[j:]:
+                out[key + two] = coef
+        yield out
+
+
+def _by_class(nums: dict, q: int) -> dict[int, dict]:
+    """The nonempty maps of the terms of ``nums`` whose key is T mod q, by T."""
+    if q == 1:
+        return {0: nums} if nums else {}
+    out: dict[int, dict] = {}
+    for k, v in nums.items():
+        t = k % q
+        if t in out:
+            out[t][k] = v
+        else:
+            out[t] = {k: v}
     return out
+
+
+def _class_count(pairs: int) -> int:
+    """The q of the residue classes for a residual of this many term pairs."""
+    for q in RESIDUE_MODULI:
+        if pairs <= q * CLASS_PAIR_BUDGET:
+            return q
+    return RESIDUE_MODULI[-1]
 
 
 class Poly:
@@ -569,16 +634,28 @@ class Poly:
         return Poly._raw(n, lap(self._a), lap(self._b), self._den)
 
     def gradient_residual(self, c: int, m: int) -> "Poly":
-        """|grad p|^2 - c r^(2m) for an integer c, computed exactly in one accumulator.
+        """|grad p|^2 - c r^(2m) for an integer c, computed exactly, one residue class at a time.
 
-        With dp/dx_i = (A_i + sqrt3 B_i) / den, every A_i^2 + 3 B_i^2 is added
-        into one A map and every 2 A_i B_i into one B map, both over den^2,
-        and the terms of c den^2 r^(2m) are then subtracted from the A map in
-        place.  The maps use keys of ``width`` bits per field, just wide
-        enough for exponents up to 2 (deg p - 1) and 2m; only the surviving
-        keys, none when the identity holds, are repacked to 8-bit keys.
-        As for ``dp/dx_i * dp/dx_i``, StructureError is raised when the
-        squares, of degree 2 (deg p - 1), or r^(2m) could pass exponent 255.
+        With dp/dx_i = (A_i + sqrt3 B_i) / den, every A_i^2 + 3 B_i^2 goes
+        into an A map and every 2 A_i B_i into a B map, both over den^2, and
+        the terms of c den^2 r^(2m) are subtracted from the A map in place.
+        The maps use keys of ``width`` bits per field, just wide enough for
+        exponents up to 2 (deg p - 1) and 2m; only the surviving keys, none
+        when the identity holds, are repacked to 8-bit keys.
+
+        The key of a product is the sum of the keys of its factors, so its
+        class mod q is the sum of their classes.  Each derivative map is
+        split into its classes mod q once; then for T = 0 .. q - 1 the maps
+        of class T are filled from the factor classes s, t with s + t = T
+        mod q, class T of r^(2m) is built and subtracted, and only the
+        survivors are kept, so one class's maps are alive at a time.  q is
+        ``_class_count`` of the
+        predicted number of term pairs, sum_i T_i (T_i + 1) / 2 over the
+        term counts T_i of the derivatives; at q = 1 this is one pass over
+        all squares.  Above MAX_RESIDUAL_PAIRS pairs PreconditionError is
+        raised before any product is formed.  As for ``dp/dx_i * dp/dx_i``,
+        StructureError is raised when the squares, of degree 2 (deg p - 1),
+        or r^(2m) could pass exponent 255.
         """
         if not isinstance(c, int):
             raise TypeError(f"gradient_residual takes an integer c, not {c!r}")
@@ -587,18 +664,44 @@ class Poly:
         _check_product_degree(top)
         width = max(1, top.bit_length())
         da, db = _derivatives(self._a, n, width), _derivatives(self._b, n, width)
-        a: dict = {}
-        b: dict = {}
-        for dai, dbi in zip(da, db):
-            _mul_into(a, dai, dai)
-            _mul_into(a, dbi, dbi, 3)
-            _mul_into(b, dai, dbi, 2)
+        pairs = sum((len(x) + len(y)) * (len(x) + len(y) + 1) // 2 for x, y in zip(da, db))
+        if pairs > MAX_RESIDUAL_PAIRS:
+            raise PreconditionError(
+                f"|grad F|^2 takes {pairs} term pairs, above the budget "
+                f"MAX_RESIDUAL_PAIRS = {MAX_RESIDUAL_PAIRS}"
+            )
+        q = _class_count(pairs)
+        parts = [(_by_class(x, q), _by_class(y, q)) for x, y in zip(da, db)]
+        del da, db
         den = self._den * self._den
-        if c:
-            # r^(2m) times the constant -c den^2, pruned as it lands; the
-            # outer loop of _mul_into walks r^(2m) without copying its terms
-            _mul_into(a, _radial_terms(n, m, width), {0: -c * den})
-        return Poly._raw(n, _widen(a, n, width), _widen(b, n, width), den)
+        radial = _radial_terms(n, m, width, q)
+        res_a: dict = {}
+        res_b: dict = {}
+        for T in range(q):
+            a: dict = {}
+            b: dict = {}
+            for pa, pb in parts:
+                # a square within one class takes its upper triangle of term
+                # pairs; a pair of two classes is taken once and doubled
+                for s, x in pa.items():
+                    t = (T - s) % q
+                    if s <= t and t in pa:
+                        _mul_into(a, x, pa[t], 1 if s == t else 2)
+                for s, y in pb.items():
+                    t = (T - s) % q
+                    if s <= t and t in pb:
+                        _mul_into(a, y, pb[t], 3 if s == t else 6)
+                for s, x in pa.items():
+                    t = (T - s) % q
+                    if t in pb:
+                        _mul_into(b, x, pb[t], 2)
+            if c:
+                # class T of r^(2m) times the constant -c den^2, pruned as it
+                # lands; the outer loop of _mul_into walks it without copying
+                _mul_into(a, next(radial), {0: -c * den})
+            res_a.update(a)
+            res_b.update(b)
+        return Poly._raw(n, _widen(res_a, n, width), _widen(res_b, n, width), den)
 
     def euler_check(self, degree: int) -> bool:
         """Euler identity sum_i x_i dp/dx_i == degree * p for homogeneous p.
@@ -674,4 +777,4 @@ def sum_of_squares(num_vars: int, m: int = 1) -> Poly:
     """The radius power r^(2m) = (x_1^2 + ... + x_n^2)^m, r^2 by default."""
     if num_vars < 1:
         raise StructureError("num_vars must be positive")
-    return Poly._raw(num_vars, _radial_terms(num_vars, m, 8), {}, 1)
+    return Poly._raw(num_vars, next(_radial_terms(num_vars, m, 8)), {}, 1)

@@ -235,6 +235,8 @@ class FamilyGeometry:
                         hess.append((i * n + j, _float(a * k, b * k, den), _drop(di, j)))
         self._grad = _table(grad, n)
         self._hess = _table(hess, n)
+        i, j = np.triu_indices(n, 1)
+        self._strict_upper = (i * n + j, j * n + i)  # slots of (i, j) and (j, i), i < j
 
     def _batched(self, table: _Table, x: np.ndarray, size: int) -> np.ndarray:
         """table at one point, or at each row of x, table.chunk rows per evaluation."""
@@ -253,9 +255,14 @@ class FamilyGeometry:
     def hessian(self, x: np.ndarray) -> np.ndarray:
         """Hess F at one point, shape (n, n), or at each row of x, shape (B, n, n), in chunks."""
         n = self.n_amb
-        H = self._batched(self._hess, x, n * n).reshape(x.shape[:-1] + (n, n))
-        H += np.swapaxes(np.triu(H, 1), -1, -2)  # the upper triangle, mirrored
-        return H
+        H = self._batched(self._hess, x, n * n)
+        upper, lower = self._strict_upper
+        # the upper triangle, mirrored; the table leaves the lower one 0, so
+        # every entry ends as its sum with one 0, as x + 0.0 = 0.0 + x (an
+        # int 0 keeps the int zeros of a table with no entries, linear F)
+        H[..., lower] = H[..., upper]
+        H += 0
+        return H.reshape(x.shape[:-1] + (n, n))
 
     def sphere_gradient(self, x: np.ndarray) -> np.ndarray:
         """grad_S f = grad F - <grad F, x> x, at one point or at each C-contiguous row of x."""

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from isopar import cli, families, nurowski, spectral
+from isopar import cli, families, nurowski, polyalg, spectral
 from isopar.cli import main
 from isopar.division_algebras import AlgebraTag
 from isopar.families import cartan_cubic
@@ -473,6 +473,28 @@ def test_ambient_dimension_at_cap_is_built(capsys):
     code, out, _ = run(capsys, "family", "build", "--family", "linear", "--n", "511")
     assert code == 0
     assert json.loads(out.splitlines()[0])["ambient_dim"] == cli.MAX_AMBIENT_DIM
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "cm", "--family", "fkm", "--m", "1", "--k", "128"),
+        ("verify", "cm", "--family", "fkm", "--m", "9", "--k", "4"),
+    ],
+    ids=["fkm-1-128", "fkm-9-4"],
+)
+def test_residual_above_pair_budget_is_usage_error(monkeypatch, capsys, argv):
+    # the pair count is predicted before any product of |grad F|^2 is formed
+    def refuse(pairs):
+        raise AssertionError(f"a residual of {pairs} term pairs was started")
+
+    monkeypatch.setattr(polyalg, "_class_count", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"MAX_RESIDUAL_PAIRS = {polyalg.MAX_RESIDUAL_PAIRS}" in err
+    assert ("18825216" if argv[-1] == "128" else "24880128") in err
 
 
 # ---------------------------------------------------------------------------

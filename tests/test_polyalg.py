@@ -1,13 +1,16 @@
 """Exact scalar and polynomial arithmetic."""
 
+import dataclasses
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isopar import cm_verifier, families
+from isopar import cli, cm_verifier, families, polyalg
 from isopar.clifford import build_generators, build_system
 from isopar.cm_verifier import verify_cm
 from isopar.division_algebras import AlgebraTag
@@ -538,6 +541,117 @@ def test_radial_power_refuses_what_a_field_cannot_hold():
     with pytest.raises(StructureError):
         sum_of_squares(0)
     assert sum_of_squares(2, 127).coefficient((254, 0)) == 1
+
+
+# ---------------------------------------------------------------------------
+# |grad p|^2 one residue class of the key at a time
+# ---------------------------------------------------------------------------
+
+
+def _split(monkeypatch):
+    """Make gradient_residual split every residual with a term pair (q = 29)."""
+    monkeypatch.setattr(polyalg, "CLASS_PAIR_BUDGET", 0)
+
+
+def _unsplit(monkeypatch):
+    """Make gradient_residual take every residual in one pass (q = 1)."""
+    monkeypatch.setattr(polyalg, "CLASS_PAIR_BUDGET", polyalg.MAX_RESIDUAL_PAIRS)
+
+
+SPLIT_FAMILIES = {**KERNEL_FAMILIES, "nomizu(7)": lambda: nomizu_family(7)}
+
+
+@pytest.mark.parametrize("name", SPLIT_FAMILIES)
+def test_split_residual_matches_reference(name, monkeypatch):
+    _split(monkeypatch)
+    fam = SPLIT_FAMILIES[name]()
+    F, p = fam.F, fam.p
+    for G in [F, *_perturbed(F, p)]:
+        got = G.gradient_residual(p * p, p - 1)
+        _assert_same(got, ref(G).gradient_residual(p * p, p - 1))
+        assert all(got._a.values()) and all(got._b.values())
+
+
+@given(gradient_cases(), st.integers(min_value=-20, max_value=20),
+       st.integers(min_value=0, max_value=4), st.sampled_from([2, 3, 5, 8, 29]))
+@settings(max_examples=100, deadline=None)
+def test_split_residual_matches_reference_at_any_modulus(p, c, m, q):
+    # k mod q is additive for every q, so the split is exact whatever its balance
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyalg, "RESIDUE_MODULI", (q,))
+        got = p.gradient_residual(c, m)
+    _assert_same(got, RefPoly(p.num_vars, dict(p.items())).gradient_residual(c, m))
+
+
+def test_split_dump_poly_text_is_the_one_pass_text(monkeypatch, capsys):
+    # a corrupted fkm(9,1), with sqrt3 terms, whose residual is not empty
+    fam = fkm_family(build_system(build_generators(9, 1)))
+    bad = dataclasses.replace(fam, F=_perturbed(fam.F, 4)[1] + _perturbed(fam.F, 4)[2])
+    monkeypatch.setattr(cli, "build_family", lambda args: bad)
+    argv = ["verify", "cm", "--family", "fkm", "--m", "9", "--k", "1", "--dump-poly"]
+    outs = []
+    for patch in (_unsplit, _split):
+        with monkeypatch.context() as m:
+            patch(m)
+            assert cli.main(argv) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["result"]["grad_residual"]) > 0
+
+
+def _product_keys(F):
+    """Every key a term pair of |grad F|^2 lands on, on the kernel's narrow fields."""
+    n = F.num_vars
+    width = (2 * (F.degree() - 1)).bit_length()
+    keys = set()
+    for d in polyalg._derivatives(F._a, n, width):
+        ks = list(d)
+        keys.update(ka + kb for i, ka in enumerate(ks) for kb in ks[i:])
+    return keys
+
+
+def _largest_class_over_mean(keys, q):
+    sizes = [0] * q
+    for k in keys:
+        sizes[k % q] += 1
+    return max(sizes) / (len(keys) / q)
+
+
+def test_residue_classes_of_fkm_9_1_balance():
+    F = fkm_family(build_system(build_generators(9, 1))).F
+    keys = _product_keys(F)
+    derivatives = polyalg._derivatives(F._a, F.num_vars, 3)
+    pairs = sum(len(d) * (len(d) + 1) // 2 for d in derivatives)
+    assert pairs == 145920
+    q = polyalg._class_count(pairs)
+    assert q > 1
+    assert _largest_class_over_mean(keys, q) <= 2
+    # 8 = 1 mod 7: k mod 7 is the degree mod 7, one class for every product
+    assert _largest_class_over_mean(keys, 7) > 2
+
+
+def test_split_residual_halves_the_traced_peak(monkeypatch):
+    F = fkm_family(build_system(build_generators(9, 1))).F
+    peaks = []
+    for patch in (_unsplit, lambda m: None):
+        with monkeypatch.context() as m:
+            patch(m)
+            tracemalloc.start()
+            try:
+                assert F.gradient_residual(16, 3).is_zero()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] / 2
+
+
+def test_residual_above_the_pair_budget_is_refused(monkeypatch):
+    F = fkm_family(build_system(build_generators(5, 1))).F  # 7936 term pairs
+    monkeypatch.setattr(polyalg, "MAX_RESIDUAL_PAIRS", 7935)
+    with pytest.raises(PreconditionError, match=r"7936 term pairs.*MAX_RESIDUAL_PAIRS = 7935"):
+        F.gradient_residual(16, 3)
+    monkeypatch.setattr(polyalg, "MAX_RESIDUAL_PAIRS", 7936)
+    assert F.gradient_residual(16, 3).is_zero()
 
 
 def test_verify_cm_forms_no_polynomial_product(monkeypatch):
