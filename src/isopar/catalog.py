@@ -13,8 +13,10 @@ never silently corrected:
 
 The SU(3)/SO(3) orbit is an actual computation, not data: the shape
 operator A[X, x] = -[X, xi] of the adjoint orbit through a regular unit
-x in the diagonal Cartan subspace is assembled in an orthonormal bracket
-basis and its eigenvalues are reported both exactly and numerically.
+x in the diagonal Cartan subspace is assembled from integer traces in the
+bracket basis [L_k, x], where it is diagonal, so its eigenvalues are
+computed exactly in Q(sqrt 3); the floats reported beside them are read
+off the exact values.  The module uses no numpy.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .clifford import delta
-from .errors import DomainError
+from .errors import ConstructionError, DomainError
 from .polyalg import ScalarQ3
 from .report import Report, report_key
 
@@ -290,25 +290,25 @@ class OrbitSpectrumReport(Report):
     )
 
 
-def _so3_basis() -> list[np.ndarray]:
-    L1 = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex)
-    L2 = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=complex)
-    L3 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    return [L1, L2, L3]
+# so(3), the isotropy algebra of SU(3)/SO(3), as integer 3x3 matrices
+_SO3 = (
+    ((0, 0, 0), (0, 0, -1), (0, 1, 0)),
+    ((0, 0, 1), (0, 0, 0), (-1, 0, 0)),
+    ((0, -1, 0), (1, 0, 0), (0, 0, 0)),
+)
 
 
-def _bracket(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
+def _bracket_diagonal(L: tuple, d: tuple) -> tuple:
+    """[L, diag(d)], whose entry (a, b) is L_ab (d_b - d_a)."""
+    return tuple(tuple(L[a][b] * (d[b] - d[a]) for b in range(3)) for a in range(3))
 
 
-def _inner(A: np.ndarray, B: np.ndarray) -> float:
-    # negative Killing form of su(3): -6 tr(XY), the unique invariant scale
-    # in which the printed normal xi = (1/6) diag(i, i, -2i) has unit length
-    return float(np.real(-6.0 * np.trace(A @ B)))
+def _trace_product(A: tuple, B: tuple) -> int:
+    return sum(A[a][b] * B[b][a] for a in range(3) for b in range(3))
 
 
 def su3_orbit_spectrum() -> OrbitSpectrumReport:
-    """Eigenvalues of the orbit shape operator, exact and numerical.
+    """Eigenvalues of the orbit shape operator, computed exactly in Q(sqrt 3).
 
     The orbit is Ad(SO(3)) x inside the 5-dimensional space of symmetric
     elements of su(3).  With x the unit element of the diagonal Cartan
@@ -317,45 +317,36 @@ def su3_orbit_spectrum() -> OrbitSpectrumReport:
     exact pi/3 spacing.  The published values +-1/sqrt(3) are the
     reciprocals of the nonzero eigenvalues (a tan/cot mixup or a metric
     rescale); they are reported verbatim with that caveat, not corrected.
+
+    The metric is the negative Killing form -6 tr(XY), that is 6 tr(ab) on
+    i a and i b, the unique invariant scale in which the printed normal
+    xi = (i/6) diag(1, 1, -2) has unit length; x = s i diag(1, -1, 0) is
+    unit for s = sqrt3/6.  The tangent vectors T_k = [L_k, x] = s i C_k,
+    C_k = [L_k, diag(1, -1, 0)], have Gram matrix tr(C_k C_l)/2, and
+    A T_k = -[L_k, xi] = -(i/6) E_k, E_k = [L_k, diag(1, 1, -2)], has
+    <A T_l, T_k> = -s tr(E_l C_k).  Both matrices are diagonal, which is
+    checked on the integer traces, so lambda_k = -2 s tr(E_k C_k)/tr(C_k^2).
     """
-    xi = (1j / 6.0) * np.diag([1.0, 1.0, -2.0])
-    x_raw = 1j * np.diag([1.0, -1.0, 0.0])
-    x = x_raw / math.sqrt(_inner(x_raw, x_raw))
-    assert abs(_inner(xi, xi) - 1.0) < 1e-12
-
-    basis = _so3_basis()
-    tangent = [_bracket(L, x) for L in basis]
-    onb = []
-    for T in tangent:
-        nrm = math.sqrt(_inner(T, T))
-        onb.append(T / nrm)
-    # orthogonality of the bracket directions in the diagonal case
-    gram = np.array([[_inner(a, b) for b in onb] for a in onb])
-    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-
-    A = np.zeros((3, 3))
-    for col, (L, T) in enumerate(zip(basis, tangent)):
-        image = -_bracket(L, xi)
-        scale = math.sqrt(_inner(T, T))
-        for row, E in enumerate(onb):
-            A[row, col] = _inner(image, E) / scale
-    eig_float = np.linalg.eigvalsh(0.5 * (A + A.T))
-
-    # exact route: x = s * i diag(1, -1, 0) with s^2 = 1/12 in this metric,
-    # so the nonzero eigenvalue ratio squares to (1/2)^2 / s^2 = 3 exactly
-    s_sq = Fraction(1, 12)
-    lam_sq = Fraction(1, 4) / s_sq
-    assert lam_sq == 3
-    lam = ScalarQ3(0, 1)  # sqrt(3)
-    exact = (lam, ScalarQ3(0), -lam)
-
+    C = [_bracket_diagonal(L, (1, -1, 0)) for L in _SO3]
+    E = [_bracket_diagonal(L, (1, 1, -2)) for L in _SO3]
+    if any(
+        _trace_product(C[k], C[l]) or _trace_product(E[l], C[k])
+        for k in range(3) for l in range(3) if k != l
+    ):
+        raise ConstructionError("the bracket basis does not diagonalize the shape operator")
+    s = ScalarQ3(0, Fraction(1, 6))
+    lams = [
+        s * Fraction(-2 * _trace_product(Ek, Ck), _trace_product(Ck, Ck)) for Ck, Ek in zip(C, E)
+    ]
+    # every lambda_k is a rational multiple of sqrt 3, so its b part orders it
+    exact = tuple(sorted(lams, key=lambda v: v.b, reverse=True))
+    eig_float = tuple(float(v) for v in exact)
     thetas = sorted(math.atan2(1.0, v) for v in eig_float)
-    spacing = thetas[1] - thetas[0]
     return OrbitSpectrumReport(
         eigenvalues_exact=exact,
-        eigenvalues_float=tuple(float(v) for v in sorted(eig_float, reverse=True)),
+        eigenvalues_float=eig_float,
         cot_angles=tuple(thetas),
-        spacing=spacing,
+        spacing=thetas[1] - thetas[0],
         printed_values=(1 / math.sqrt(3), -1 / math.sqrt(3), 0.0),
         normalization_note=(
             "unit-sphere normalization of (x, xi) in the invariant metric "

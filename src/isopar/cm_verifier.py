@@ -6,7 +6,9 @@ For a homogeneous degree-p polynomial F on R^(n+1) the equations are
     lap F      = c r^(p-2)             c = p^2 (m2 - m1) / 2,
 
 and a polynomial satisfying them has sphere level sets forming an
-isoparametric family with curvature multiplicities m1, m2.  Both residuals
+isoparametric family with curvature multiplicities m1, m2.  Homogeneity is
+decided once per request, by ``Poly.euler_check``, which raises
+PreconditionError on a term of another degree.  Both residuals
 are computed as exact polynomials and tested for literal emptiness; there
 is no tolerance anywhere in this module.  The gradient residual is
 ``F.gradient_residual(p^2, p - 1)``, that is |grad F|^2 - p^2 r^(2p-2):
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
 from .families import IsoparametricFamily
 from .polyalg import Poly, ScalarQ3, sum_of_squares
 from .report import Report, report_key
@@ -76,13 +77,13 @@ def gradient_residual(F: Poly, p: int) -> Poly:
 
 
 def verify_cm(fam: IsoparametricFamily) -> CMReport:
-    """Check both Cartan-Muenzner identities for fam.F, exactly."""
+    """Check both Cartan-Muenzner identities for fam.F, exactly.
+
+    Raises PreconditionError unless fam.F is homogeneous of degree fam.p.
+    """
     F = fam.F
     p = fam.p
-    if F.homogeneous_degree() != p:
-        raise PreconditionError(
-            f"{fam.name}: F is not homogeneous of degree {p}"
-        )
+    euler_ok = F.euler_check(p)
     nv = F.num_vars
     grad_residual = gradient_residual(F, p)
 
@@ -105,7 +106,7 @@ def verify_cm(fam: IsoparametricFamily) -> CMReport:
     return CMReport(
         family=fam.name,
         p=p,
-        euler_ok=F.euler_check(p),
+        euler_ok=euler_ok,
         grad_identity_ok=grad_residual.is_zero(),
         laplace_identity_ok=laplace_residual.is_zero(),
         inferred_c=c,

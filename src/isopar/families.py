@@ -218,8 +218,7 @@ def _clifford_quartic(system: CliffordSystem) -> Poly:
     wrapping the public factories counts each family's terms once.
     """
     nv = 2 * system.l
-    r2 = sum_of_squares(nv)
-    F = r2 * r2
+    F = sum_of_squares(nv, 2)  # r^4, in the key order of r2 * r2
     for P in system.mats:
         q = _quadratic_form(P, nv)
         F = F - (q * q).scale(2)

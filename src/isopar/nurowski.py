@@ -98,9 +98,9 @@ class UpsilonTensor:
 
 def extract_upsilon(F: Poly) -> UpsilonTensor:
     """The tensor Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k of a homogeneous cubic."""
-    if F.homogeneous_degree() != 3:
+    if F.is_zero():
         raise PreconditionError("upsilon extraction needs a homogeneous cubic")
-    return UpsilonTensor(F)
+    return UpsilonTensor(F)  # which rejects F unless it is a homogeneous cubic
 
 
 @dataclass(frozen=True)

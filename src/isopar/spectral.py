@@ -85,6 +85,7 @@ NEWTON_MAX_ITERATIONS = 80  # Gauss-Newton steps per seeded start
 NEWTON_RESIDUAL_TOL = 1e-13  # max |(F(x) - t, |x|^2 - 1)| that counts as converged
 SEED_AGREEMENT_TOL = 2e-6  # worst per-eigenvalue spread across seeds
 SPACING_TOL = 1e-6  # worst |theta_{k+1} - theta_k - pi/p|
+CURVATURE_TOL = 1e-6  # worst |cot(theta_k - travel) - measured| after parallel transport
 SV_THRESHOLD = 1e-5  # singular values below it count toward the nullity
 FD_STEP = 1e-5  # first central-difference step of the parallel-map Jacobian
 # Bound on the products (points x table rows) of one batched table
@@ -125,15 +126,18 @@ def _table(entries: list, n: int) -> _Table:
     Each monomial becomes a row of its variable indices with repetition,
     padded with index n, which addresses a constant 1 appended to the point.
     The rows are stored transposed, one contiguous index array per column,
-    and there is at least one column, so a constant monomial reads 1.
+    and there is at least one column, so a constant monomial reads 1.  There
+    is at least one row too: no entries become one zero row, so an empty
+    table sums float zeros, as every other table does.
     """
-    width = max((len(vs) for _, _, vs in entries), default=0)
+    entries = entries or [(0, 0.0, ())]
+    width = max(len(vs) for _, _, vs in entries)
     rows = np.full((len(entries), max(width, 1)), n, dtype=np.intp)
     for r, (_, _, vs) in enumerate(entries):
         rows[r, : len(vs)] = vs
     slots = np.array([s for s, _, _ in entries], dtype=np.intp)
     coeffs = np.array([c for _, c, _ in entries], dtype=float)
-    chunk = max(1, EVAL_CHUNK_PRODUCTS // max(len(entries), 1))
+    chunk = max(1, EVAL_CHUNK_PRODUCTS // len(entries))
     return _Table(rows.T.copy(), coeffs, slots, chunk, [slots])
 
 
@@ -258,10 +262,9 @@ class FamilyGeometry:
         H = self._batched(self._hess, x, n * n)
         upper, lower = self._strict_upper
         # the upper triangle, mirrored; the table leaves the lower one 0, so
-        # every entry ends as its sum with one 0, as x + 0.0 = 0.0 + x (an
-        # int 0 keeps the int zeros of a table with no entries, linear F)
+        # every entry ends as its sum with one 0, as x + 0.0 = 0.0 + x
         H[..., lower] = H[..., upper]
-        H += 0
+        H += 0.0
         return H.reshape(x.shape[:-1] + (n, n))
 
     def sphere_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -589,11 +592,7 @@ def _focal_distance(travel: float, thetas) -> float:
     )
 
 
-def parallel_check(
-    pt: SurfacePoint,
-    travel: float,
-    curvature_tol: float = 1e-6,
-) -> ParallelReport:
+def parallel_check(pt: SurfacePoint, travel: float) -> ParallelReport:
     """Displace pt by angle ``travel`` along the normal geodesic and compare.
 
     The displaced surface must show curvatures cot(theta_k - travel) and the
@@ -638,7 +637,7 @@ def parallel_check(
         predicted_curvatures=tuple(predicted),
         measured_curvatures=tuple(sorted(float(v) for v in measured)),
         max_curvature_error=max_err,
-        curvatures_ok=max_err <= curvature_tol,
+        curvatures_ok=max_err <= CURVATURE_TOL,
     )
 
 

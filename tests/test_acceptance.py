@@ -164,7 +164,7 @@ def test_criterion_06_parallel_and_focal_laws(fkm22):
         for fam, t0 in ((product_family(7, 4), 0.0), (cartan_cubic(AlgebraTag.R), 0.1), (fkm22, 0.05)):
             pt = spectral.sample_level(fam, t0, seed=3)
             for travel in travels:
-                rep = spectral.parallel_check(pt, travel, curvature_tol=1e-6)
+                rep = spectral.parallel_check(pt, travel)
                 assert rep.ok, f"{fam.name} travel {travel}"
         # focal nullities equal the curvature multiplicities
         pt = spectral.sample_level(product_family(7, 4), 0.0, seed=1)

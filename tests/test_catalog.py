@@ -1,10 +1,11 @@
 """Transcribed tables, the inhomogeneity criterion and the worked orbit."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from isopar import spectral
+from isopar import catalog, spectral
 from isopar.catalog import (
     fkm_table,
     inhomogeneity_predicate,
@@ -14,7 +15,7 @@ from isopar.catalog import (
     su3_orbit_spectrum,
 )
 from isopar.division_algebras import AlgebraTag
-from isopar.errors import DomainError
+from isopar.errors import ConstructionError, DomainError
 from isopar.families import cartan_cubic
 from isopar.polyalg import ScalarQ3
 
@@ -140,6 +141,61 @@ def test_orbit_unit_normalization_is_sqrt3():
     rep = su3_orbit_spectrum()
     assert max(rep.eigenvalues_exact, key=float) == ScalarQ3(0, 1)  # exactly sqrt 3
     assert rep.eigenvalues_float[0] == pytest.approx(math.sqrt(3), abs=1e-12)
+
+
+def _matmul(A, B):
+    return [[sum(A[a][c] * B[c][b] for c in range(3)) for b in range(3)] for a in range(3)]
+
+
+def _bracket(A, B):
+    AB, BA = _matmul(A, B), _matmul(B, A)
+    return [[AB[a][b] - BA[a][b] for b in range(3)] for a in range(3)]
+
+
+def _trace(A):
+    return sum(A[a][a] for a in range(3))
+
+
+def test_orbit_gram_and_operator_matrices_are_diagonal():
+    # full 3x3 products, not the diagonal-bracket shortcut: in the metric
+    # 6 tr(ab) on i a, i b, with x = s i diag(1, -1, 0), s = sqrt3/6, and
+    # xi = (i/6) diag(1, 1, -2), the tangent T_k = [L_k, x] = s i C_k has
+    # Gram tr(C_k C_l)/2 and <A T_l, T_k> = -s tr(E_l C_k)
+    s = ScalarQ3(0, Fraction(1, 6))
+    D, Dxi = [[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, -2]]
+    assert 6 * s * s * _trace(_matmul(D, D)) == 1  # x is unit
+    assert Fraction(6 * _trace(_matmul(Dxi, Dxi)), 36) == 1  # xi is unit
+    L = [
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    ]
+    C = [_bracket(Lk, D) for Lk in L]
+    E = [_bracket(Lk, Dxi) for Lk in L]
+    gram = [[Fraction(_trace(_matmul(C[k], C[l])), 2) for l in range(3)] for k in range(3)]
+    op = [[-s * _trace(_matmul(E[l], C[k])) for l in range(3)] for k in range(3)]
+    for k in range(3):
+        for l in range(3):
+            if k != l:
+                assert gram[k][l] == 0 and op[k][l] == 0
+    lams = [op[k][k] / gram[k][k] for k in range(3)]
+    assert sorted((lam * lam for lam in lams), key=float) == [0, 3, 3]
+    assert sorted(lams, key=float) == sorted(su3_orbit_spectrum().eigenvalues_exact, key=float)
+
+
+def test_orbit_floats_are_read_off_the_exact_values():
+    rep = su3_orbit_spectrum()
+    assert rep.eigenvalues_float == (math.sqrt(3), 0.0, -math.sqrt(3))
+    assert rep.eigenvalues_float == tuple(float(v) for v in rep.eigenvalues_exact)
+    assert rep.spacing == rep.cot_angles[1] - rep.cot_angles[0]
+
+
+def test_orbit_refuses_a_basis_that_is_not_diagonal(monkeypatch):
+    L1, L2, L3 = catalog._SO3
+    tilted = tuple(tuple(a + b for a, b in zip(r1, r3)) for r1, r3 in zip(L1, L3))
+    monkeypatch.setattr(catalog, "_SO3", (tilted, L2, L3))
+    with pytest.raises(ConstructionError):
+        su3_orbit_spectrum()
 
 
 def test_orbit_cot_angle_spacing():

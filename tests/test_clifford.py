@@ -239,7 +239,10 @@ def test_residuals_match_dense_reference():
 
 
 def test_exact_modules_import_without_numpy():
-    modules = ("polyalg", "division_algebras", "clifford", "families", "cm_verifier", "nurowski")
+    modules = (
+        "polyalg", "division_algebras", "clifford", "families", "cm_verifier", "nurowski",
+        "catalog", "report",
+    )
     code = "; ".join(f"import isopar.{name}" for name in modules)
     code += "; import sys; assert 'numpy' not in sys.modules, 'numpy imported'"
     src = os.path.dirname(os.path.dirname(isopar.__file__))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from isopar import polyalg
 from isopar.clifford import build_generators, build_system
 from isopar.cm_verifier import verify_cm
 from isopar.division_algebras import AlgebraTag
@@ -122,3 +123,14 @@ def test_report_serializes():
     assert "citation" in d
     assert len(d["identities"]) == 2
 
+
+
+def test_verify_cm_reads_each_key_degree_at_most_twice(monkeypatch):
+    # the family decided homogeneity when it was built; verify_cm decides it
+    # once more, in euler_check, and the residual reads F's degree once
+    fam = fkm_family(build_system(build_generators(5, 1)))
+    calls = []
+    key_degree = polyalg._key_degree
+    monkeypatch.setattr(polyalg, "_key_degree", lambda k, n: calls.append(k) or key_degree(k, n))
+    assert verify_cm(fam).ok
+    assert 0 < len(calls) <= 2 * fam.F.num_terms()

@@ -271,3 +271,13 @@ def test_multiplicity_sum_rule():
         m1, m2 = fam.expected_multiplicities
         n = fam.ambient_dim - 1  # the level sets lie in S^n
         assert fam.p * (m1 + m2) == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("nv", [1, 2, 4, 5, 16, 32, 64, 512])
+def test_radial_quartic_is_r2_squared_in_key_order(nv):
+    # the Clifford quartic starts from sum_of_squares(nv, 2); its terms, and
+    # the numeric tables summed in F's order, are those of r2 * r2
+    r2 = sum_of_squares(nv)
+    r4, square = sum_of_squares(nv, 2), r2 * r2
+    assert r4 == square
+    assert r4.numerators() == square.numerators()

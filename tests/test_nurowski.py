@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isopar import polyalg
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import PreconditionError
 from isopar.families import cartan_cubic, nurowski_expanded_cubic
@@ -77,6 +78,19 @@ def test_extract_rejects_non_cubic():
             build(Poly(2, {(2, 0): 1}))
         with pytest.raises(PreconditionError):
             build(Poly(2, {(3, 0): 1, (1, 0): 1}))
+    with pytest.raises(PreconditionError):
+        extract_upsilon(Poly.zero(3))
+
+
+def test_check_reads_each_key_degree_at_most_twice(monkeypatch):
+    # homogeneity is decided once, by the tensor, and the residual reads
+    # F's degree once
+    F = cartan_cubic(AlgebraTag.O).F
+    calls = []
+    key_degree = polyalg._key_degree
+    monkeypatch.setattr(polyalg, "_key_degree", lambda k, n: calls.append(k) or key_degree(k, n))
+    assert check_conditions(extract_upsilon(F)).ok
+    assert 0 < len(calls) <= 2 * F.num_terms()
 
 
 def test_entry_count():

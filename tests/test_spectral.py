@@ -765,6 +765,17 @@ def test_batched_hessian_matches_the_one_point_call_bit_for_bit(name):
             assert h.tobytes() == geo.hessian(row).tobytes()
 
 
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_derivatives_are_float64_for_one_point_and_a_batch(name):
+    # linear F has no Hessian entries: its table is one zero row, which
+    # sums float zeros as every other table does
+    geo = spectral.geometry(BUILDERS[name]())
+    x = np.random.default_rng(13).normal(size=(2, geo.n_amb))
+    for arg in (x[0], x):
+        assert geo.gradient(arg).dtype == np.float64
+        assert geo.hessian(arg).dtype == np.float64
+
+
 @pytest.mark.parametrize(
     "build",
     [
