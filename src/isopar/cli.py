@@ -12,6 +12,9 @@ Subcommands:
   clifford build    emit Clifford generators/system matrices as integer CSV
   catalog ...       rank2 | fkm-table | inhom | su3-orbit
 
+Every subcommand takes --output/-o, which writes the text it would print
+to a file instead.
+
 Reports are JSON documents with a schema_version field and are byte
 identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
@@ -82,7 +85,6 @@ from .errors import (
     StructureError,
 )
 from .families import (
-    MAX_AMBIENT_DIM,  # noqa: F401  (the CLI's cap is the factories' cap)
     IsoparametricFamily,
     cartan_cubic,
     det_cubic_cross_check,
@@ -292,77 +294,76 @@ def make_parser() -> argparse.ArgumentParser:
     )
     family_args.add_argument("--m", type=int, help="Clifford system size parameter (fkm)")
 
+    # spectrum, parallel and focal: a family, a level and a sampling seed
+    level_args = argparse.ArgumentParser(add_help=False, parents=[family_args])
+    level_args.add_argument("--t", type=float, default=0.0)
+    level_args.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
+
+    # every subcommand writes its text to stdout or to --output
+    output_args = argparse.ArgumentParser(add_help=False)
+    output_args.add_argument("--output", "-o")
+
     p_family = sub.add_parser("family", help="family polynomial factories")
     family_sub = p_family.add_subparsers(dest="family_command", required=True)
     p_build = family_sub.add_parser(
-        "build", parents=[family_args], help="emit a family polynomial"
+        "build", parents=[family_args, output_args], help="emit a family polynomial"
     )
     p_build.add_argument("--format", choices=("poly-text", "json"), default="poly-text")
-    p_build.add_argument("--output", "-o")
     p_build.set_defaults(func=cmd_family_build)
 
     p_verify = sub.add_parser("verify", help="exact identity verification")
     verify_sub = p_verify.add_subparsers(dest="verify_command", required=True)
     p_cm = verify_sub.add_parser(
-        "cm", parents=[family_args], help="Cartan-Muenzner identities"
+        "cm", parents=[family_args, output_args], help="Cartan-Muenzner identities"
     )
     p_cm.add_argument("--dump-poly", action="store_true", help="include residual polynomials on failure")
-    p_cm.add_argument("--output", "-o")
     p_cm.set_defaults(func=cmd_verify_cm)
 
     p_spec = sub.add_parser(
-        "spectrum", parents=[family_args], help="principal curvature spectrum of a level set"
+        "spectrum",
+        parents=[level_args, output_args],
+        help="principal curvature spectrum of a level set",
     )
-    p_spec.add_argument("--t", type=float, default=0.0)
     p_spec.add_argument("--seeds", type=_seed_count, default=1)
-    p_spec.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
     p_spec.add_argument(
         "--cluster-tol", type=_positive_float, default=spectral.DEFAULT_CLUSTER_TOL
     )
-    p_spec.add_argument("--output", "-o")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_par = sub.add_parser(
-        "parallel", parents=[family_args], help="parallel surface curvature law"
+        "parallel", parents=[level_args, output_args], help="parallel surface curvature law"
     )
-    p_par.add_argument("--t", type=float, default=0.0)
     p_par.add_argument("--travel", type=_finite_float, required=True)
-    p_par.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
-    p_par.add_argument("--output", "-o")
     p_par.set_defaults(func=cmd_parallel)
 
     p_focal = sub.add_parser(
-        "focal", parents=[family_args], help="focal rank collapse at a curvature angle"
+        "focal", parents=[level_args, output_args], help="focal rank collapse at a curvature angle"
     )
-    p_focal.add_argument("--t", type=float, default=0.0)
     p_focal.add_argument("--index", type=int, required=True, help="curvature index k (0-based)")
-    p_focal.add_argument("--seed", type=_seed, default=spectral.DEFAULT_SEED)
-    p_focal.add_argument("--output", "-o")
     p_focal.set_defaults(func=cmd_focal)
 
     p_nur = sub.add_parser("nurowski", help="symmetric 3-tensor conditions")
     nur_sub = p_nur.add_subparsers(dest="nurowski_command", required=True)
-    p_check = nur_sub.add_parser("check", help="verify conditions (1)-(3)")
+    p_check = nur_sub.add_parser("check", parents=[output_args], help="verify conditions (1)-(3)")
     p_check.add_argument("--dim", type=int, required=True, choices=tuple(DIM_TO_TAG))
-    p_check.add_argument("--output", "-o")
     p_check.set_defaults(func=cmd_nurowski_check)
 
     p_cliff = sub.add_parser("clifford", help="Clifford generators and systems")
     cliff_sub = p_cliff.add_subparsers(dest="clifford_command", required=True)
-    p_cb = cliff_sub.add_parser("build", help="emit matrices as integer CSV")
+    p_cb = cliff_sub.add_parser("build", parents=[output_args], help="emit matrices as integer CSV")
     p_cb.add_argument("--m", type=int, required=True)
     p_cb.add_argument("--k", type=int, default=1)
     p_cb.add_argument("--what", choices=("generators", "system"), default="system")
-    p_cb.add_argument("--output", "-o")
     p_cb.set_defaults(func=cmd_clifford_build)
 
-    p_cat = sub.add_parser("catalog", help="published tables and the worked orbit")
+    p_cat = sub.add_parser(
+        "catalog", parents=[output_args], help="published tables and the worked orbit"
+    )
     p_cat.add_argument("table", choices=("rank2", "fkm-table", "inhom", "su3-orbit"))
     p_cat.add_argument("--m1", type=int)
     p_cat.add_argument("--m2", type=int)
     p_cat.add_argument("--m", type=_positive_int)
     p_cat.add_argument("--degenerate", action="store_true")
-    p_cat.add_argument("--output", "-o")
     p_cat.set_defaults(func=cmd_catalog)
 
     return parser

@@ -1,8 +1,8 @@
 """Factories for every isoparametric polynomial family in scope.
 
 Each factory returns an IsoparametricFamily: a Cartan-Muenzner polynomial F
-on R^(n+1) together with its declared degree p, ambient dimension and
-expected curvature multiplicities.  The families:
+on R^(n+1) together with its declared degree p and expected curvature
+multiplicities; the ambient dimension n + 1 is read off F.  The families:
 
   linear_family    F = x_{n+1}, p = 1 (great/small hyperspheres)
   product_family   F = sum_{i<=k} x_i^2 - sum_{j>k} x_j^2, p = 2
@@ -40,7 +40,7 @@ Conventions that need calling out:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .clifford import MAX_L, CliffordSystem, SignedPerm, build_generators, build_system, delta
@@ -62,25 +62,27 @@ def _check_ambient(kind: str, dim: int) -> None:
 
 @dataclass(frozen=True)
 class IsoparametricFamily(Report):
-    """A named Cartan-Muenzner polynomial with its declared invariants."""
+    """A named Cartan-Muenzner polynomial with its declared invariants.
+
+    The ambient dimension is read off F, the variable count of R^N, and is
+    not passed in.  The degree p is declared, not derived: F must be
+    nonzero, and F.euler_check(p) decides that it is homogeneous of that
+    degree, raising PreconditionError naming the offending monomials
+    otherwise.
+    """
 
     name: str
     p: int
-    ambient_dim: int
+    ambient_dim: int = field(init=False)
     F: Poly = report_key("num_terms")
     expected_multiplicities: tuple | None  # (m1, m2) or None
     provenance: str
 
     def __post_init__(self):
-        if self.F.num_vars != self.ambient_dim:
-            raise PreconditionError(
-                f"{self.name}: ambient_dim {self.ambient_dim} != "
-                f"F.num_vars {self.F.num_vars}"
-            )
-        if self.F.homogeneous_degree() != self.p:
-            raise PreconditionError(
-                f"{self.name}: F is not homogeneous of degree {self.p}"
-            )
+        object.__setattr__(self, "ambient_dim", self.F.num_vars)
+        if self.F.is_zero():
+            raise PreconditionError(f"{self.name}: F is zero")
+        self.F.euler_check(self.p)
         if self.expected_multiplicities is not None:
             m1, m2 = self.expected_multiplicities
             n = self.ambient_dim - 1
@@ -99,7 +101,6 @@ def linear_family(n: int) -> IsoparametricFamily:
     return IsoparametricFamily(
         name=f"linear(n={n})",
         p=1,
-        ambient_dim=n + 1,
         F=Poly.variable(n + 1, n),
         expected_multiplicities=(n - 1, n - 1),
         provenance="great and small hyperspheres in S^n (p=1 case, Cartan)",
@@ -129,7 +130,6 @@ def product_family(n: int, k: int) -> IsoparametricFamily:
     return IsoparametricFamily(
         name=f"product(n={n},k={k})",
         p=2,
-        ambient_dim=n + 1,
         F=_quadratic_form(SignedPerm(tuple(range(n + 1)), signs), n + 1),
         expected_multiplicities=(k - 1, n - k),
         provenance="sphere products S^a(r) x S^b(s), r^2+s^2=1 (p=2 case, Cartan)",
@@ -181,7 +181,6 @@ def cartan_cubic(tag: AlgebraTag) -> IsoparametricFamily:
     return IsoparametricFamily(
         name=f"cartan-{tag.name}",
         p=3,
-        ambient_dim=nv,
         F=F,
         expected_multiplicities=(d, d),
         provenance=(
@@ -243,7 +242,6 @@ def fkm_family(system: CliffordSystem) -> IsoparametricFamily:
     return IsoparametricFamily(
         name=f"fkm(m={m},k={k})",
         p=4,
-        ambient_dim=nv,
         F=_clifford_quartic(system),
         expected_multiplicities=(m1, m2),
         provenance=(
@@ -270,7 +268,6 @@ def nomizu_family(n: int) -> IsoparametricFamily:
     return IsoparametricFamily(
         name=f"nomizu(n={n})",
         p=4,
-        ambient_dim=nv,
         F=-_clifford_quartic(build_system(build_generators(1, n + 1))),
         expected_multiplicities=(n - 1, 1),
         provenance=(

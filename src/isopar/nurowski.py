@@ -64,14 +64,16 @@ class UpsilonTensor:
     """Symmetric 3-tensor held as its cubic F = Y_ijk x_i x_j x_k (0-based).
 
     By polarization the two are one object: Y_ijk is the coefficient of
-    x_i x_j x_k in F divided by the 1, 3 or 6 orderings of (i, j, k).
+    x_i x_j x_k in F divided by the 1, 3 or 6 orderings of (i, j, k), and
+    the dimension n is F's variable count.  The cubic must pass
+    euler_check(3), which raises PreconditionError naming the monomials
+    of another degree; the zero cubic has none and is allowed.
     """
 
     cubic: Poly
 
     def __post_init__(self):
-        if not self.cubic.is_zero() and self.cubic.homogeneous_degree() != 3:
-            raise PreconditionError("an Upsilon tensor is held as a homogeneous cubic or zero")
+        self.cubic.euler_check(3)
 
     @property
     def n(self) -> int:

@@ -525,14 +525,6 @@ class Poly:
         n = self.num_vars
         return max((_key_degree(k, n) for k in self._keys()), default=None)
 
-    def homogeneous_degree(self) -> int | None:
-        """d if every stored monomial has total degree d, else None."""
-        n = self.num_vars
-        degrees = {_key_degree(k, n) for k in self._keys()}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     # -- ring operations ------------------------------------------------------
 
     def _check_compatible(self, other: "Poly") -> None:

@@ -80,7 +80,7 @@ from .report import Report, report_key
 DEFAULT_SEED = 2718
 DEFAULT_CLUSTER_TOL = 1e-4
 MUNZNER_ALLOWED_P = (1, 2, 3, 4, 6)
-LEVEL_GUARD = 0.95  # sampling stays this far from the focal levels by default
+LEVEL_GUARD = 0.95  # sampling stays this far from the focal levels
 NEWTON_MAX_ITERATIONS = 80  # Gauss-Newton steps per seeded start
 NEWTON_RESIDUAL_TOL = 1e-13  # max |(F(x) - t, |x|^2 - 1)| that counts as converged
 SEED_AGREEMENT_TOL = 2e-6  # worst per-eigenvalue spread across seeds
@@ -261,10 +261,9 @@ class FamilyGeometry:
         n = self.n_amb
         H = self._batched(self._hess, x, n * n)
         upper, lower = self._strict_upper
-        # the upper triangle, mirrored; the table leaves the lower one 0, so
-        # every entry ends as its sum with one 0, as x + 0.0 = 0.0 + x
+        # the table fills the upper triangle; mirrored, H is symmetric bit
+        # for bit, and bincount sums every slot from +0.0, so no entry is -0.0
         H[..., lower] = H[..., upper]
-        H += 0.0
         return H.reshape(x.shape[:-1] + (n, n))
 
     def sphere_gradient(self, x: np.ndarray) -> np.ndarray:
@@ -330,31 +329,26 @@ class Spectrum(Report):
 # ---------------------------------------------------------------------------
 
 
-def sample_level(
-    fam: IsoparametricFamily,
-    t: float,
-    seed: int = DEFAULT_SEED,
-    allow_extreme: bool = False,
-) -> SurfacePoint:
+def sample_level(fam: IsoparametricFamily, t: float, seed: int = DEFAULT_SEED) -> SurfacePoint:
     """Newton-project a seeded random start onto {F = t} intersect S^n.
 
-    The level must lie strictly inside (-1, 1); levels beyond +-0.95 are
-    refused unless allow_extreme is set, to stay away from the focal
-    submanifolds where the gradient on the sphere degenerates.  A family
-    on S^1 is refused: its level sets are points, with no shape operator.
+    The level must satisfy |t| <= LEVEL_GUARD = 0.95: the band beyond it
+    is refused, to stay away from the focal submanifolds where the
+    gradient on the sphere degenerates.  A family on S^1 is refused: its
+    level sets are points, with no shape operator.
     """
-    geo = _level_geometry(fam, t, allow_extreme)
+    geo = _level_geometry(fam, t)
     x, g, value = _converge(geo, t, seed)
     return _surface_point(geo, x, value, g)
 
 
-def _level_geometry(fam: IsoparametricFamily, t: float, allow_extreme: bool) -> FamilyGeometry:
+def _level_geometry(fam: IsoparametricFamily, t: float) -> FamilyGeometry:
     """The geometry of fam, once the level t is known to have a shape operator."""
     if fam.ambient_dim < 3:
         raise DomainError(f"{fam.name}: level sets in S^1 are points, with no shape operator")
     if not -1.0 < t < 1.0:
         raise DomainError(f"level t must lie in (-1, 1), got {t}")
-    if abs(t) > LEVEL_GUARD and not allow_extreme:
+    if abs(t) > LEVEL_GUARD:
         raise DomainError(
             f"|t| = {abs(t)} is inside the focal guard band: "
             f"levels are sampled only at |t| <= {LEVEL_GUARD}"
@@ -769,7 +763,7 @@ def spectrum_report(
     the one sample_level raises for the first seed that fails.
     """
     seeds = tuple(base_seed + i for i in range(num_seeds))
-    geo = _level_geometry(fam, t, allow_extreme=False)
+    geo = _level_geometry(fam, t)
     n = geo.n_amb
     chunk = max(1, EVAL_CHUNK_PRODUCTS // (n * (n + 2)))
     all_eigs, pending = [], []

@@ -293,7 +293,6 @@ def test_criterion_11_property_suites(fkm22):
             mutant = IsoparametricFamily(
                 name="mutant",
                 p=3,
-                ambient_dim=fam.ambient_dim,
                 F=Poly(fam.ambient_dim, broken),
                 expected_multiplicities=None,
                 provenance="mutation control",

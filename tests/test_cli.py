@@ -118,7 +118,7 @@ def test_family_build_poly_text_round_trip(capsys):
     assert meta["ambient_dim"] == 4
     poly = packed(RefPoly.loads("\n".join(term_lines)))
     assert poly.num_terms() == meta["num_terms"]
-    assert poly.homogeneous_degree() == meta["p"]
+    assert poly.euler_check(meta["p"])
 
 
 def test_family_build_json_format(capsys):
@@ -129,7 +129,7 @@ def test_family_build_json_format(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     poly = packed(RefPoly.loads("\n".join(result["terms"])))
-    assert poly.homogeneous_degree() == 3
+    assert poly.euler_check(3)
 
 
 def test_clifford_build_csv(capsys):
@@ -354,8 +354,11 @@ def test_exact_report_bytes_are_pinned(capsys, argv, digest):
         ("family", "build", "--family", "product", "--n", "7", "--k", "4"),
         ("clifford", "build", "--m", "3", "--k", "2"),
         ("verify", "cm", "--family", "cartan-cubic", "--algebra", "R"),
+        ("nurowski", "check", "--dim", "5"),
+        ("catalog", "su3-orbit"),
+        ("focal", "--family", "product", "--n", "7", "--k", "4", "--index", "1"),
     ],
-    ids=["poly-text", "clifford-csv", "json-report"],
+    ids=["poly-text", "clifford-csv", "json-report", "nurowski", "catalog", "focal"],
 )
 def test_output_file_holds_stdout_bytes(tmp_path, capsys, argv):
     _, out, _ = run(capsys, *argv)
@@ -466,13 +469,31 @@ def test_ambient_dimension_above_cap_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"R^{cli.MAX_AMBIENT_DIM}" in err
+    assert f"R^{families.MAX_AMBIENT_DIM}" in err
+
+
+# one small size of every --family row
+REGISTRY_SIZES = {
+    "linear": (5,),
+    "product": (7, 4),
+    "cartan-cubic": ("R",),
+    "fkm": (2, 2),
+    "nomizu": (4,),
+}
+
+
+def test_every_registry_family_reads_its_ambient_dim_off_f():
+    assert set(REGISTRY_SIZES) == set(cli.FAMILIES)
+    for name, values in REGISTRY_SIZES.items():
+        fam = cli.FAMILIES[name][1](*values)
+        assert fam.ambient_dim == fam.F.num_vars
+        assert fam.to_dict()["ambient_dim"] == fam.ambient_dim
 
 
 def test_ambient_dimension_at_cap_is_built(capsys):
     code, out, _ = run(capsys, "family", "build", "--family", "linear", "--n", "511")
     assert code == 0
-    assert json.loads(out.splitlines()[0])["ambient_dim"] == cli.MAX_AMBIENT_DIM
+    assert json.loads(out.splitlines()[0])["ambient_dim"] == families.MAX_AMBIENT_DIM
 
 
 @pytest.mark.parametrize(

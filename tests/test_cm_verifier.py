@@ -96,7 +96,6 @@ def test_single_coefficient_mutation_flips_gradient_check():
         corrupted = IsoparametricFamily(
             name="corrupted",
             p=3,
-            ambient_dim=fam.ambient_dim,
             F=Poly(fam.ambient_dim, corrupted_terms),
             expected_multiplicities=None,
             provenance="mutation test",

@@ -6,9 +6,10 @@ import pytest
 
 from isopar.clifford import build_generators, build_system
 from isopar.division_algebras import AlgebraTag
-from isopar.errors import DomainError
+from isopar.errors import DomainError, PreconditionError
 from isopar.families import (
     MAX_AMBIENT_DIM,
+    IsoparametricFamily,
     cartan_cubic,
     det_cubic_cross_check,
     fkm_family,
@@ -262,6 +263,26 @@ def test_det_cubic_satisfies_same_differential_identities():
 def test_every_family_is_homogeneous_of_declared_degree():
     for fam in all_small_families():
         assert fam.F.euler_check(fam.p)
+
+
+def test_declared_degree_that_f_lacks_is_refused_naming_a_monomial():
+    # euler_check decides homogeneity: cartan-R's cubic declared as p = 4
+    F = cartan_cubic(AlgebraTag.R).F
+    with pytest.raises(PreconditionError) as err:
+        IsoparametricFamily(
+            name="cartan-R as a quartic",
+            p=4,
+            F=F,
+            expected_multiplicities=None,
+            provenance="wrong declared degree",
+        )
+    assert "degree 4" in str(err.value)
+    assert str(min(mono for mono, _ in F.items())) in str(err.value)
+    # the zero polynomial passes euler_check at any degree, and is refused
+    with pytest.raises(PreconditionError, match="F is zero"):
+        IsoparametricFamily(
+            name="zero", p=3, F=Poly.zero(5), expected_multiplicities=None, provenance=""
+        )
 
 
 def test_multiplicity_sum_rule():

@@ -74,7 +74,7 @@ def test_tensor_accepts_zero():
 
 def test_extract_rejects_non_cubic():
     for build in (extract_upsilon, UpsilonTensor):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"degree 3.*\(2, 0\)"):
             build(Poly(2, {(2, 0): 1}))
         with pytest.raises(PreconditionError):
             build(Poly(2, {(3, 0): 1, (1, 0): 1}))

@@ -64,15 +64,16 @@ def test_sample_linear_level():
     assert float(pt.x[:7] @ pt.x[:7]) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_sample_rejects_focal_levels():
+def test_sample_rejects_focal_levels(monkeypatch):
     with pytest.raises(DomainError):
         spectral.sample_level(PRODUCT, 1.0)
     with pytest.raises(DomainError):
         spectral.sample_level(PRODUCT, -1.2)
     with pytest.raises(DomainError):
         spectral.sample_level(PRODUCT, 0.99)
-    # the guard band can be overridden explicitly
-    pt = spectral.sample_level(PRODUCT, 0.97, seed=1, allow_extreme=True)
+    # LEVEL_GUARD alone bounds the band
+    monkeypatch.setattr(spectral, "LEVEL_GUARD", 0.99)
+    pt = spectral.sample_level(PRODUCT, 0.97, seed=1)
     assert abs(pt.t - 0.97) < 1e-10
 
 
@@ -111,13 +112,14 @@ def test_sample_level_matches_the_two_table_reference_loop(name):
     "name",
     ["fkm(9,1)", "fkm(9,2)", "cartan-O", "cartan-R", "nomizu(7)", "product(7,4)", "linear(5)"],
 )
-def test_sampled_points_lie_on_the_level_by_the_exact_polynomial(name):
+def test_sampled_points_lie_on_the_level_by_the_exact_polynomial(monkeypatch, name):
     # independent witness: the exact F, not the gradient the loop reads F from
+    monkeypatch.setattr(spectral, "LEVEL_GUARD", 0.99)
     fam = BUILDERS[name]()
     F = reference_poly.ref(fam.F)
     for t in (-0.99, 0.0, 0.95, 0.99):
         for seed in (1, 2):
-            pt = spectral.sample_level(fam, t, seed=seed, allow_extreme=abs(t) > 0.95)
+            pt = spectral.sample_level(fam, t, seed=seed)
             assert abs(F.evaluate_float(list(pt.x)) - t) <= 1e-12
             assert abs(float(pt.x @ pt.x) - 1.0) <= 1e-12
 
@@ -763,6 +765,26 @@ def test_batched_hessian_matches_the_one_point_call_bit_for_bit(name):
         assert H.shape == (size, n, n)
         for row, h in zip(x, H):
             assert h.tobytes() == geo.hessian(row).tobytes()
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_hessian_has_no_negative_zero_and_is_its_transpose_bit_for_bit(name):
+    # bincount sums every slot from +0.0, so the mirrored upper triangle
+    # carries no -0.0, whatever the signs of zero coordinates
+    geo = spectral.geometry(BUILDERS[name]())
+    n = geo.n_amb
+    rng = np.random.default_rng(14)
+    e0 = np.full(n, -0.0)
+    e0[0] = 1.0
+    signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    signed[: n // 2] = rng.normal(size=n // 2)
+    points = [rng.normal(size=n), np.zeros(n), np.full(n, -0.0), e0, signed]
+    hessians = [geo.hessian(x) for x in points]
+    hessians += list(geo.hessian(rng.normal(size=(3, n))))
+    hessians += list(geo.hessian(np.array(points[1:4])))
+    for H in hessians:
+        assert not np.any(np.signbit(H) & (H == 0.0))
+        assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
