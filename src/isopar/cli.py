@@ -264,9 +264,8 @@ def cmd_catalog(args) -> tuple[str, int]:
             args.m1, args.m2, m=args.m, degenerate=args.degenerate
         )
         return _json("catalog inhom", verdict.to_dict()), 0
-    if args.table == "su3-orbit":
-        return _json("catalog su3-orbit", cat.su3_orbit_spectrum().to_dict()), 0
-    raise DomainError(f"unknown catalog table {args.table}")
+    # su3-orbit: the parser's choices leave no other table
+    return _json("catalog su3-orbit", cat.su3_orbit_spectrum().to_dict()), 0
 
 
 # ---------------------------------------------------------------------------

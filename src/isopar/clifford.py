@@ -184,9 +184,9 @@ def _irreducible_generators(m: int) -> list[SignedPerm]:
         return []
     # x -> e_i x for the imaginary units: row a has sign(e_i e_(i^a)) in column i^a
     tag = {2: AlgebraTag.C, 3: AlgebraTag.H, 4: AlgebraTag.H}.get(m, AlgebraTag.O)
-    c, d = division_algebras.structure_constants(tag).c, tag.dim
+    signs, d = division_algebras.structure_constants(tag), tag.dim
     units = [
-        SignedPerm(tuple(i ^ a for a in range(d)), tuple(c[i][i ^ a][a] for a in range(d)))
+        SignedPerm(tuple(i ^ a for a in range(d)), tuple(signs[i][i ^ a] for a in range(d)))
         for i in range(1, d)
     ]
     if m <= 8:

@@ -19,9 +19,10 @@ expanded form.
 
 Conventions that need calling out:
 
-* The cubic's mixed term is 2 re(x y z) with left-to-right association.
-  The real part of a triple product in O does not depend on association
-  (see the division_algebras property tests), so this is well defined.
+* The cubic's mixed term is 3 sqrt3 re((x y) z), written from the sign
+  table of division_algebras.  The real part of a triple product in O does
+  not depend on association (see the division_algebras property tests), so
+  re(x (y z)) would give the same F.
 * The quartic sums <P_i x, x>^2 over the whole Clifford system P_0..P_m.
   Dropping P_0 would leave the gradient identity intact but shift the
   Laplacian to 8(m2 - m1 + 2) r^2; the full sum gives 8(m2 - m1) r^2,
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .clifford import MAX_L, CliffordSystem, SignedPerm, build_generators, build_system, delta
-from .division_algebras import AlgebraTag, cayley_dickson_mul
+from .division_algebras import AlgebraTag, structure_constants
 from .errors import DomainError, PreconditionError
 from .polyalg import ONE, SQRT3, Poly, ScalarQ3, sum_of_squares
 from .report import Report, report_key
@@ -136,17 +137,6 @@ def product_family(n: int, k: int) -> IsoparametricFamily:
     )
 
 
-def _algebra_block_vars(num_vars: int, start: int, dim: int) -> list[Poly]:
-    return [Poly.variable(num_vars, start + i) for i in range(dim)]
-
-
-def _block_norm2(block: list[Poly]) -> Poly:
-    total = Poly.zero(block[0].num_vars)
-    for v in block:
-        total = total + v * v
-    return total
-
-
 def cartan_cubic(tag: AlgebraTag) -> IsoparametricFamily:
     """Cartan's harmonic isoparametric cubic over R, C, H or O.
 
@@ -154,34 +144,39 @@ def cartan_cubic(tag: AlgebraTag) -> IsoparametricFamily:
     dimension d = dim(tag), so the ambient dimension is 3d + 2.  The cubic is
 
         u^3 - 3 u v^2 + (3/2) u (|x|^2 + |y|^2 - 2 |z|^2)
-            + (3 sqrt3 / 2) v (|x|^2 - |y|^2) + 3 sqrt3 re(x y z)
+            + (3 sqrt3 / 2) v (|x|^2 - |y|^2) + 3 sqrt3 re((x y) z)
 
-    expanded to an exact polynomial through the algebra's multiplication.
+    written term by term.  With e_a e_b = s[a][b] e_(a xor b) from the sign
+    table, x y has e_c-coordinate sum_a s[a][b] x_a y_b for b = a xor c, and
+    re(e_c e_c) = s[c][c], so re((x y) z) = sum_(c, a) s[a][b] s[c][c] x_a y_b z_c.
     """
     d = tag.dim
     nv = 3 * d + 2
-    u = Poly.variable(nv, 0)
-    v = Poly.variable(nv, 1)
-    x = _algebra_block_vars(nv, 2, d)
-    y = _algebra_block_vars(nv, 2 + d, d)
-    z = _algebra_block_vars(nv, 2 + 2 * d, d)
+    s = structure_constants(tag)
+    x, y, z = 2, 2 + d, 2 + 2 * d  # the first variable of each block
 
-    nx, ny, nz = _block_norm2(x), _block_norm2(y), _block_norm2(z)
-    re_xyz = cayley_dickson_mul(cayley_dickson_mul(x, y), z)[0]
+    def mono(*indices: int) -> tuple:
+        exps = [0] * nv
+        for i in indices:
+            exps[i] += 1
+        return tuple(exps)
 
-    half3 = ScalarQ3(Fraction(3, 2))
-    half3s = ScalarQ3(0, Fraction(3, 2))
-    F = (
-        u * u * u
-        - (u * v * v).scale(3)
-        + (u * (nx + ny - nz.scale(2))).scale(half3)
-        + (v * (nx - ny)).scale(half3s)
-        + re_xyz.scale(ScalarQ3(0, 3))
-    )
+    half3, half3s = Fraction(3, 2), ScalarQ3(0, Fraction(3, 2))
+    terms = {mono(0, 0, 0): 1, mono(0, 1, 1): -3}
+    terms.update({mono(0, x + i, x + i): half3 for i in range(d)})
+    terms.update({mono(0, y + i, y + i): half3 for i in range(d)})
+    terms.update({mono(0, z + i, z + i): -3 for i in range(d)})
+    terms.update({mono(1, x + i, x + i): half3s for i in range(d)})
+    terms.update({mono(1, y + i, y + i): -half3s for i in range(d)})
+    terms.update({
+        mono(x + a, y + (a ^ c), z + c): ScalarQ3(0, 3 * s[a][a ^ c] * s[c][c])
+        for c in range(d)
+        for a in range(d)
+    })
     return IsoparametricFamily(
         name=f"cartan-{tag.name}",
         p=3,
-        F=F,
+        F=Poly(nv, terms),
         expected_multiplicities=(d, d),
         provenance=(
             f"Cartan's cubic over {tag.name}: tube around the projective "

@@ -1,9 +1,18 @@
 """Elements of R, C, H and O with exact rational coordinates, for the tests.
 
-``AlgElem`` wraps a coordinate tuple of Fractions around the package's
-``cayley_dickson_mul`` and ``conj_vec``, so the composition and
-alternativity laws can be written as products of elements.  Nothing under
-``src/`` uses it: the package multiplies coordinate vectors directly.
+``cayley_dickson_mul`` is the recursive Cayley-Dickson product of
+coefficient vectors,
+
+    (a, b) (c, d) = (a c - conj(d) b,  d a + b conj(c)),
+
+generic over the coefficient ring: it needs only ``+``, ``-`` and ``*``, so
+it multiplies vectors of Fractions and vectors of polynomials alike.  It
+shares no code with the package's sign table
+(``division_algebras.structure_constants``) and is the oracle that table
+and the Cartan cubic are checked against.  ``AlgElem`` wraps a coordinate
+tuple of Fractions around it, so the composition and alternativity laws
+can be written as products of elements.  Nothing under ``src/`` uses this
+module.
 
 Conjugation negates every coordinate except the first, the real part is
 the first coordinate, and norm2 is the coordinate sum of squares; these
@@ -14,9 +23,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from isopar.division_algebras import AlgebraTag, cayley_dickson_mul, conj_vec
+from isopar.division_algebras import AlgebraTag
 from isopar.errors import StructureError
+
+
+def conj_vec(coeffs: Sequence) -> list:
+    """Conjugation on coefficient vectors: negate everything past e0."""
+    return [coeffs[0]] + [-c for c in coeffs[1:]]
+
+
+def cayley_dickson_mul(x: Sequence, y: Sequence) -> list:
+    """Cayley-Dickson product of two coefficient vectors of equal 2^k length.
+
+    Entries may be any ring elements supporting +, - and *.
+    """
+    n = len(x)
+    if n != len(y):
+        raise StructureError("cayley_dickson_mul needs equal-length vectors")
+    if n == 1:
+        return [x[0] * y[0]]
+    h = n // 2
+    a, b = list(x[:h]), list(x[h:])
+    c, d = list(y[:h]), list(y[h:])
+    ac = cayley_dickson_mul(a, c)
+    db = cayley_dickson_mul(conj_vec(d), b)
+    da = cayley_dickson_mul(d, a)
+    bc = cayley_dickson_mul(b, conj_vec(c))
+    return [p - q for p, q in zip(ac, db)] + [p + q for p, q in zip(da, bc)]
 
 
 @dataclass(frozen=True)

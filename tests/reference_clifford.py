@@ -1,18 +1,21 @@
 """Reference Clifford construction: dense numpy integer matrices.
 
 This is the construction ``isopar.clifford`` used before it held every
-matrix as a signed permutation, kept unchanged as the oracle the signed
+matrix as a signed permutation, kept as the oracle the signed
 permutations are compared against: the generators, the system, the dense
-relation residuals and the upper-triangle scan of <P x, x>.  It is not part
-of the package: nothing under ``src/`` imports it.
+relation residuals and the upper-triangle scan of <P x, x>.  Its unit
+multiplications come from the tests' recursive Cayley-Dickson product, not
+from the package's sign table.  It is not part of the package: nothing
+under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from alg_elem import cayley_dickson_mul
 
 from isopar.clifford import delta
-from isopar.division_algebras import AlgebraTag, structure_constants
+from isopar.division_algebras import AlgebraTag
 from isopar.polyalg import Poly, sum_of_squares
 
 _J = np.array([[0, -1], [1, 0]], dtype=np.int64)
@@ -21,10 +24,18 @@ _L = np.array([[0, 1], [1, 0]], dtype=np.int64)
 
 
 def left_multiplication_matrices(tag: AlgebraTag) -> list[list[list[int]]]:
-    """Matrices of x -> e_i * x for i = 0..d-1 (column b of matrix i is e_i e_b)."""
-    sc = structure_constants(tag).c
+    """Matrices of x -> e_i * x for i = 0..d-1 (column b of matrix i is e_i e_b).
+
+    Each column is a product of unit vectors by the tests' recursive
+    Cayley-Dickson product, so this reference shares no code with the
+    package's sign table.
+    """
     d = tag.dim
-    return [[[sc[i][b][a] for b in range(d)] for a in range(d)] for i in range(d)]
+    units = [[int(a == i) for a in range(d)] for i in range(d)]
+    return [
+        [list(row) for row in zip(*(cayley_dickson_mul(ei, eb) for eb in units))]
+        for ei in units
+    ]
 
 
 def _irreducible_generators(m: int) -> list[np.ndarray]:

@@ -1,11 +1,16 @@
 """Command grammar, exit codes, report determinism."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isopar import cli, families, nurowski, polyalg, spectral
 from isopar.cli import main
@@ -662,3 +667,49 @@ def test_exact_cubic_requests_print_the_same_bytes_in_either_order(capsys):
     assert [code for code, _, _ in forward] == [0] * len(EXACT_CUBIC)
     assert backward == forward
     assert cli._built_family("cartan-cubic", ("O",)).F == cartan_cubic(AlgebraTag.O).F
+
+
+# Every input ends in a report or a documented exit code, never a traceback:
+# argv drawn over the whole grammar, at sizes inside, at and far past the caps.
+_SIZE = st.sampled_from(["-3", "-2", "-1", "0", "1", "2", "3", str(10**20)])
+_FAMILY = st.one_of(
+    st.builds(lambda n: ["--family", "linear", "--n", n], _SIZE),
+    st.builds(lambda n, k: ["--family", "product", "--n", n, "--k", k], _SIZE, _SIZE),
+    st.builds(lambda a: ["--family", "cartan-cubic", "--algebra", a], st.sampled_from("RCHOX")),
+    st.builds(lambda m, k: ["--family", "fkm", "--m", m, "--k", k], _SIZE, _SIZE),
+    st.builds(lambda n: ["--family", "nomizu", "--n", n], _SIZE),
+)
+_LEVEL = st.sampled_from(["nan", "inf", "-inf", "1e308", "0.97", "0.3"]).map(lambda t: ["--t", t])
+_ODD = st.sampled_from(["-1", "0", "1", "2", "3", "7", str(10**20)])
+_ARGV = st.one_of(
+    st.builds(lambda f: ["family", "build", *f], _FAMILY),
+    st.builds(lambda f: ["verify", "cm", *f], _FAMILY),
+    st.builds(lambda f, t: ["spectrum", *f, *t], _FAMILY, _LEVEL),
+    st.builds(lambda f, t: ["parallel", *f, *t, "--travel", "0.3"], _FAMILY, _LEVEL),
+    st.builds(
+        lambda f, t, i: ["focal", *f, *t, "--index", i],
+        _FAMILY, _LEVEL, st.sampled_from(["-1", "0", "1", str(10**20)]),
+    ),
+    st.builds(lambda d: ["nurowski", "check", "--dim", d], st.sampled_from(["5", "7", "8"])),
+    st.builds(
+        lambda m, k: ["clifford", "build", "--m", str(m), "--k", str(k)],
+        st.integers(-2, 33), st.integers(-2, 3),
+    ),
+    st.builds(
+        lambda table, m1, m2: ["catalog", table, "--m1", m1, "--m2", m2],
+        st.sampled_from(["rank2", "fkm-table", "inhom", "su3-orbit"]), _ODD, _ODD,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_ARGV)
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses before a handler runs
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert time.perf_counter() - start < 2.0, argv

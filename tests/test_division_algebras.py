@@ -5,13 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from alg_elem import AlgElem
+from alg_elem import AlgElem, cayley_dickson_mul
 
-from isopar.division_algebras import (
-    AlgebraTag,
-    cayley_dickson_mul,
-    structure_constants,
-)
+from isopar.division_algebras import AlgebraTag, structure_constants
 from isopar.errors import StructureError
 
 ALL_TAGS = [AlgebraTag.R, AlgebraTag.C, AlgebraTag.H, AlgebraTag.O]
@@ -132,44 +128,44 @@ def test_tag_mismatch_rejected():
 
 
 def test_structure_constants_r():
-    sc = structure_constants(AlgebraTag.R).c
-    assert sc == (((1,),),)
+    assert structure_constants(AlgebraTag.R) == ((1,),)
 
 
 def test_structure_constants_c():
-    sc = structure_constants(AlgebraTag.C).c
+    sc = structure_constants(AlgebraTag.C)
     # e1 * e1 = -1
-    assert sc[1][1] == (-1, 0)
-    assert sc[0][1] == (0, 1)
+    assert sc[1][1] == -1
+    assert sc[0][1] == 1
 
 
 def test_structure_constants_h_reproduce_quaternion_relations():
-    sc = structure_constants(AlgebraTag.H).c
+    sc = structure_constants(AlgebraTag.H)
     e = [AlgElem.basis(AlgebraTag.H, i) for i in range(4)]
     for i in range(4):
         for j in range(4):
-            built = AlgElem(AlgebraTag.H, sc[i][j])
+            built = AlgElem.basis(AlgebraTag.H, i ^ j).scale(sc[i][j])
             assert built == e[i] * e[j]
-    # unit row: c[0][j][k] = delta_jk
-    for j in range(4):
-        assert sc[0][j] == tuple(1 if k == j else 0 for k in range(4))
+    # unit row: e_0 e_j = e_j
+    assert sc[0] == (1, 1, 1, 1)
 
 
 def test_structure_constants_rows_have_single_entry():
+    # e_i e_j is the single signed unit sc[i][j] e_(i xor j)
     for tag in ALL_TAGS:
-        sc = structure_constants(tag).c
-        for i in range(tag.dim):
-            for j in range(tag.dim):
-                nonzero = [abs(v) for v in sc[i][j] if v]
-                assert nonzero == [1]
+        sc = structure_constants(tag)
+        assert len(sc) == tag.dim
+        for row in sc:
+            assert len(row) == tag.dim
+            assert all(v in (1, -1) for v in row)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.name)
 def test_structure_constants_match_cayley_dickson(tag):
     # the sign-doubled table against the recursive product of unit vectors
     d = tag.dim
+    sc = structure_constants(tag)
     units = [[int(a == i) for a in range(d)] for i in range(d)]
-    expected = tuple(
-        tuple(tuple(cayley_dickson_mul(ei, ej)) for ej in units) for ei in units
-    )
-    assert structure_constants(tag).c == expected
+    for i, ei in enumerate(units):
+        for j, ej in enumerate(units):
+            expected = [sc[i][j] if k == i ^ j else 0 for k in range(d)]
+            assert cayley_dickson_mul(ei, ej) == expected

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from alg_elem import cayley_dickson_mul
 
 from isopar.clifford import build_generators, build_system
 from isopar.division_algebras import AlgebraTag
@@ -20,7 +21,7 @@ from isopar.families import (
     product_family,
     rename_cartan_r_to_nurowski,
 )
-from isopar.polyalg import Poly, sum_of_squares
+from isopar.polyalg import Poly, ScalarQ3, sum_of_squares
 from reference_poly import ref
 
 ALL_TAGS = [AlgebraTag.R, AlgebraTag.C, AlgebraTag.H, AlgebraTag.O]
@@ -120,6 +121,36 @@ def test_cartan_cubic_is_harmonic(tag):
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_cartan_cubic_homogeneous(tag):
     assert cartan_cubic(tag).F.euler_check(3)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.name)
+def test_cartan_cubic_matches_poly_arithmetic_construction(tag):
+    # the cubic expanded through Poly arithmetic, with re((x y) z) from the
+    # recursive Cayley-Dickson product, against the term map built from the
+    # sign table
+    d = tag.dim
+    nv = 3 * d + 2
+    u, v, *coords = (Poly.variable(nv, i) for i in range(nv))
+    x, y, z = coords[:d], coords[d:2 * d], coords[2 * d:]
+
+    def norm2(block):
+        total = Poly.zero(nv)
+        for w in block:
+            total = total + w * w
+        return total
+
+    nx, ny, nz = norm2(x), norm2(y), norm2(z)
+    re_xyz = cayley_dickson_mul(cayley_dickson_mul(x, y), z)[0]
+    F = (
+        u * u * u
+        - (u * v * v).scale(3)
+        + (u * (nx + ny - nz.scale(2))).scale(Fraction(3, 2))
+        + (v * (nx - ny)).scale(ScalarQ3(0, Fraction(3, 2)))
+        + re_xyz.scale(ScalarQ3(0, 3))
+    )
+    built = cartan_cubic(tag).F
+    assert built == F
+    assert built.dumps() == F.dumps()
 
 
 # ---------------------------------------------------------------------------
