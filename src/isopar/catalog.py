@@ -240,20 +240,18 @@ class InhomogeneityVerdict(Report):
     )
 
 
-def inhomogeneity_predicate(
-    m1: int, m2: int, m: int | None = None, degenerate: bool = False
-) -> InhomogeneityVerdict:
+def inhomogeneity_predicate(m1: int, m2: int, degenerate: bool = False) -> InhomogeneityVerdict:
     """One-directional criterion: 3 <= 3 m1 <= m2 + 9 forces inhomogeneity.
 
-    For m = 4 the caller must also assert that no system element is +-Id
-    (pass ``degenerate=True`` when one is).  The criterion applies to p = 4
-    Clifford families only; results for other pairs carry a caution.
+    A Clifford family has (m1, m2) = (m, l - m - 1), so m1 is its Clifford
+    m.  For m1 = 4 the caller must also assert that no system element is
+    +-Id (pass ``degenerate=True`` when one is).  The criterion applies to
+    p = 4 Clifford families only; results for other pairs carry a caution.
     """
     if m1 < 1 or m2 < 1:
         raise DomainError("multiplicities must be positive")
-    holds = 3 <= 3 * m1 <= m2 + 9
-    if holds and m == 4 and degenerate:
-        holds = False
+    inequality = 3 <= 3 * m1 <= m2 + 9
+    holds = inequality and not (m1 == 4 and degenerate)
     caution = None
     if holds and (m1, m2) == (1, 1):
         caution = (
@@ -265,7 +263,7 @@ def inhomogeneity_predicate(
         m1=m1,
         m2=m2,
         verdict="inhomogeneous" if holds else "inconclusive",
-        inequality_holds=3 <= 3 * m1 <= m2 + 9,
+        inequality_holds=inequality,
         caution=caution,
     )
 

@@ -10,7 +10,9 @@ Subcommands:
   focal             verify the focal rank collapse at a curvature angle
   nurowski check    verify conditions (1)-(3) in dimension 5, 8, 14 or 26
   clifford build    emit Clifford generators/system matrices as integer CSV
-  catalog ...       rank2 | fkm-table | inhom | su3-orbit
+  catalog ...       rank2 | fkm-table | inhom | su3-orbit; inhom takes the
+                    multiplicities --m1 and --m2, and --degenerate, which
+                    applies when --m1, the Clifford m, is 4
 
 Every subcommand takes --output/-o, which writes the text it would print
 to a file instead.
@@ -22,18 +24,18 @@ verification failed (for spectrum this includes a clustered spectrum whose
 number of distinct curvatures p differs from the family's p, as when a
 coarse --cluster-tol merges distinct curvatures), 2 usage error (including
 a negative --seed, a non-finite --travel, a --cluster-tol that is not a
-finite number > 0, a --seeds outside 1..MAX_SEEDS = 10000, a catalog inhom
---m below 1, --family product at k = 1 or k = n for n >= 2, which declares
-a zero multiplicity, spectrum, parallel or focal on a family in S^1, whose
-level sets are points, or at a --t with |t| > 0.95, inside the focal guard
-band, a Clifford size l = k delta(m) above 256 in clifford build or
---family fkm, a family whose ambient dimension is above MAX_AMBIENT_DIM =
-512 = 2 MAX_L, the largest fkm ambient, a verify cm whose |grad F|^2
-would take more than polyalg.MAX_RESIDUAL_PAIRS = 10 000 000 term pairs,
-predicted before any product is formed, as fkm(1,128) and fkm(9,4) would,
-and an --output path that cannot be written), 3 a numerical procedure failed at run time (sampling did not
-converge, ambiguous clustering, a focal travel angle, a construction that
-failed its own relations).
+finite number > 0, a --seeds outside 1..MAX_SEEDS = 10000, --family
+product at k = 1 or k = n for n >= 2, which declares a zero multiplicity,
+spectrum, parallel or focal on a family in S^1, whose level sets are
+points, or at a --t with |t| > 0.95, inside the focal guard band, a
+Clifford size l = k delta(m) above 256 in clifford build or --family fkm,
+a family whose ambient dimension is above MAX_AMBIENT_DIM = 512 = 2 MAX_L,
+the largest fkm ambient, a verify cm whose |grad F|^2 would take more than
+polyalg.MAX_RESIDUAL_PAIRS = 10 000 000 term pairs, predicted before any
+product is formed, as fkm(1,128) and fkm(9,4) would, and an --output path
+that cannot be written), 3 a numerical procedure failed at run time
+(sampling did not converge, ambiguous clustering, a focal travel angle, a
+construction that failed its own relations).
 
 The --family choices and the arguments each family needs come from one
 registry, FAMILIES: each row is the required arguments and the factory
@@ -123,7 +125,6 @@ def _checked(convert, accept, expected: str):
 
 MAX_SEEDS = 10_000  # spectrum --seeds: level samples in one report
 
-_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _seed_count = _checked(int, lambda v: 1 <= v <= MAX_SEEDS, f"an integer in 1..{MAX_SEEDS}")
 _seed = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _finite_float = _checked(float, math.isfinite, "a finite number")
@@ -260,9 +261,7 @@ def cmd_catalog(args) -> tuple[str, int]:
     if args.table == "inhom":
         if args.m1 is None or args.m2 is None:
             raise DomainError("inhom needs --m1 and --m2")
-        verdict = cat.inhomogeneity_predicate(
-            args.m1, args.m2, m=args.m, degenerate=args.degenerate
-        )
+        verdict = cat.inhomogeneity_predicate(args.m1, args.m2, degenerate=args.degenerate)
         return _json("catalog inhom", verdict.to_dict()), 0
     # su3-orbit: the parser's choices leave no other table
     return _json("catalog su3-orbit", cat.su3_orbit_spectrum().to_dict()), 0
@@ -361,7 +360,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("table", choices=("rank2", "fkm-table", "inhom", "su3-orbit"))
     p_cat.add_argument("--m1", type=int)
     p_cat.add_argument("--m2", type=int)
-    p_cat.add_argument("--m", type=_positive_int)
     p_cat.add_argument("--degenerate", action="store_true")
     p_cat.set_defaults(func=cmd_catalog)
 

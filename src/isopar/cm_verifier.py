@@ -7,10 +7,11 @@ For a homogeneous degree-p polynomial F on R^(n+1) the equations are
 
 and a polynomial satisfying them has sphere level sets forming an
 isoparametric family with curvature multiplicities m1, m2.  Homogeneity is
-decided once per request, by ``Poly.euler_check``, which raises
-PreconditionError on a term of another degree.  Both residuals
-are computed as exact polynomials and tested for literal emptiness; there
-is no tolerance anywhere in this module.  The gradient residual is
+decided by the family: ``IsoparametricFamily`` runs ``Poly.euler_check``
+when it is built and refuses an F with a term of another degree, so
+``verify_cm`` does not decide it again.  Both residuals are computed as
+exact polynomials and tested for literal emptiness; there is no tolerance
+anywhere in this module.  The gradient residual is
 ``F.gradient_residual(p^2, p - 1)``, that is |grad F|^2 - p^2 r^(2p-2):
 all n squares (dF/dx_i)^2 are added into exact accumulators, one for each
 residue class of the packed key mod q (one class below a budget of term
@@ -29,7 +30,7 @@ homogeneous polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import IsoparametricFamily
@@ -43,7 +44,8 @@ class CMReport(Report):
 
     family: str
     p: int
-    euler_ok: bool
+    # the family's constructor decided homogeneity; the key stays for the pinned bytes
+    euler_ok: bool = field(init=False, default=True)
     grad_identity_ok: bool
     laplace_identity_ok: bool
     inferred_c: ScalarQ3
@@ -55,7 +57,7 @@ class CMReport(Report):
 
     @property
     def ok(self) -> bool:
-        return self.euler_ok and self.grad_identity_ok and self.laplace_identity_ok
+        return self.grad_identity_ok and self.laplace_identity_ok
 
     def to_dict(self) -> dict:
         out = super().to_dict()
@@ -71,21 +73,16 @@ class CMReport(Report):
         return out
 
 
-def gradient_residual(F: Poly, p: int) -> Poly:
-    """|grad F|^2 - p^2 r^(2p-2), exactly; empty iff the gradient identity holds."""
-    return F.gradient_residual(p * p, p - 1)
-
-
 def verify_cm(fam: IsoparametricFamily) -> CMReport:
     """Check both Cartan-Muenzner identities for fam.F, exactly.
 
-    Raises PreconditionError unless fam.F is homogeneous of degree fam.p.
+    fam.F is homogeneous of degree fam.p: the family decided that when it
+    was built.
     """
     F = fam.F
     p = fam.p
-    euler_ok = F.euler_check(p)
     nv = F.num_vars
-    grad_residual = gradient_residual(F, p)
+    grad_residual = F.gradient_residual(p * p, p - 1)
 
     lap = F.laplacian()
     if p % 2 == 1:
@@ -106,7 +103,6 @@ def verify_cm(fam: IsoparametricFamily) -> CMReport:
     return CMReport(
         family=fam.name,
         p=p,
-        euler_ok=euler_ok,
         grad_identity_ok=grad_residual.is_zero(),
         laplace_identity_ok=laplace_residual.is_zero(),
         inferred_c=c,

@@ -28,11 +28,10 @@ Phys. 58, 2008), and ``check_conditions`` decides them as such:
       failing sorted tuples, and the C(n+3, 4) degree-4 monomials are the
       independent components checked.
 
-The residual is ``cm_verifier.gradient_residual(F, 3)``, that is
-``F.gradient_residual(9, 2)`` = |grad F|^2 - 9 r^4, the polynomial
-``verify_cm`` tests for every cubic; the cubics are far below the term-pair
-budget at which that residual is split into residue classes of its keys,
-so it comes from one accumulator.
+The residual is ``F.gradient_residual(9, 2)`` = |grad F|^2 - 9 r^4, the
+polynomial ``verify_cm`` tests for every cubic; the cubics are far below
+the term-pair budget at which that residual is split into residue classes
+of its keys, so it comes from one accumulator.
 
 Solutions exist exactly in ambient dimensions 3k + 2 for k = 1, 2, 4, 8,
 realized by the four Cartan cubics; dimension_catalog records the isotropy
@@ -44,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cm_verifier import gradient_residual
 from .division_algebras import AlgebraTag
 from .errors import PreconditionError
 from .families import cartan_cubic
@@ -142,7 +140,7 @@ def check_conditions(tensor: UpsilonTensor) -> ConditionReport:
     """
     F = tensor.cubic
     trace_failures = sorted(mono.index(1) for mono, _ in F.laplacian().items())
-    residual = gradient_residual(F, 3)
+    residual = F.gradient_residual(9, 2)
     # each degree-4 monomial x_j x_k x_l x_m, j <= k <= l <= m, decides one
     # independent component (j, k, l, m) of condition (3): the residual's
     # monomials are the failing ones, and all C(n+3, 4) are checked

@@ -293,12 +293,6 @@ def _check_product_degree(degree: int) -> None:
         )
 
 
-def _derivative(nums: dict, shift: int) -> dict:
-    """d/dx of every term whose exponent sits at bit ``shift`` of the key."""
-    unit = 1 << shift
-    return {k - unit: v * e for k, v in nums.items() if (e := (k >> shift) & 0xFF)}
-
-
 def _derivatives(nums: dict, num_vars: int, width: int) -> list[dict]:
     """The num_vars partial derivative maps of ``nums`` on keys of ``width``-bit fields.
 
@@ -595,13 +589,11 @@ class Poly:
     def differentiate(self, index: int) -> "Poly":
         """Exact partial derivative with respect to variable ``index`` (0-based)."""
         # no request calls this; kept because perfbench's polyalg.diff_s metric traces it
-        if not 0 <= index < self.num_vars:
-            raise StructureError(
-                f"variable index {index} out of range for {self.num_vars} variables"
-            )
-        shift = 8 * (self.num_vars - 1 - index)
+        n = self.num_vars
+        if not 0 <= index < n:
+            raise StructureError(f"variable index {index} out of range for {n} variables")
         return Poly._raw(
-            self.num_vars, _derivative(self._a, shift), _derivative(self._b, shift), self._den
+            n, _derivatives(self._a, n, 8)[index], _derivatives(self._b, n, 8)[index], self._den
         )
 
     def laplacian(self) -> "Poly":

@@ -113,9 +113,9 @@ def test_inhomogeneity_11_satisfied_with_caution():
 
 
 def test_inhomogeneity_m4_degenerate_side_condition():
-    ok = inhomogeneity_predicate(4, 3, m=4, degenerate=False)
+    ok = inhomogeneity_predicate(4, 3, degenerate=False)
     assert ok.verdict == "inhomogeneous"
-    blocked = inhomogeneity_predicate(4, 3, m=4, degenerate=True)
+    blocked = inhomogeneity_predicate(4, 3, degenerate=True)
     assert blocked.verdict == "inconclusive"
 
 

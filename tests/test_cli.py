@@ -81,6 +81,30 @@ def test_catalog_inhom_verdicts(capsys):
     assert json.loads(out)["result"]["verdict"] == "inhomogeneous"
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (("--m1", "4", "--m2", "3", "--degenerate"), "inconclusive"),
+        (("--m1", "3", "--m2", "4", "--degenerate"), "inhomogeneous"),
+    ],
+    ids=["m1-4-degenerate", "m1-3-degenerate"],
+)
+def test_catalog_inhom_degenerate_reads_m1(capsys, argv, verdict):
+    # --m1 is the Clifford m: the degenerate side condition applies at m1 = 4
+    code, out, _ = run(capsys, "catalog", "inhom", *argv)
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"] == verdict
+
+
+def test_catalog_inhom_takes_no_separate_clifford_m(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "inhom", "--m1", "3", "--m2", "4", "--m", "4", "--degenerate"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m" in captured.err
+
+
 def test_catalog_rank2_flags(capsys):
     code, out, _ = run(capsys, "catalog", "rank2")
     assert code == 0

@@ -105,15 +105,33 @@ def test_single_coefficient_mutation_flips_gradient_check():
 
 
 def test_non_homogeneous_rejected():
-    bad = IsoparametricFamily.__new__(IsoparametricFamily)
-    object.__setattr__(bad, "name", "bad")
-    object.__setattr__(bad, "p", 2)
-    object.__setattr__(bad, "ambient_dim", 2)
-    object.__setattr__(bad, "F", Poly(2, {(2, 0): 1, (1, 0): 1}))
-    object.__setattr__(bad, "expected_multiplicities", None)
-    object.__setattr__(bad, "provenance", "")
+    # the family is the gate: an F with a term of another degree never
+    # becomes a family, so verify_cm cannot receive one
     with pytest.raises(PreconditionError):
-        verify_cm(bad)
+        IsoparametricFamily(
+            name="bad",
+            p=2,
+            F=Poly(2, {(2, 0): 1, (1, 0): 1}),
+            expected_multiplicities=None,
+            provenance="",
+        )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: fkm_family(build_system(build_generators(5, 1))), lambda: cartan_cubic(AlgebraTag.O)],
+    ids=["fkm(5,1)", "cartan-O"],
+)
+def test_verify_cm_trusts_the_family(build, monkeypatch):
+    fam = build()
+
+    def refuse(self, degree):
+        raise AssertionError("verify_cm decided homogeneity again")
+
+    monkeypatch.setattr(polyalg.Poly, "euler_check", refuse)
+    report = verify_cm(fam)
+    assert report.ok
+    assert report.to_dict()["euler_ok"] is True
 
 
 def test_report_serializes():
@@ -125,8 +143,8 @@ def test_report_serializes():
 
 
 def test_verify_cm_reads_each_key_degree_at_most_twice(monkeypatch):
-    # the family decided homogeneity when it was built; verify_cm decides it
-    # once more, in euler_check, and the residual reads F's degree once
+    # the family decided homogeneity when it was built, so verify_cm does not
+    # call euler_check; the residual reads F's degree once
     fam = fkm_family(build_system(build_generators(5, 1)))
     calls = []
     key_degree = polyalg._key_degree

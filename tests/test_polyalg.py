@@ -400,6 +400,18 @@ def test_family_and_verdicts_match_reference_kernel(name, monkeypatch):
     assert report.laplace_residual.num_terms() == ref_report.laplace_residual.num_terms()
 
 
+@pytest.mark.parametrize("name", KERNEL_FAMILIES)
+def test_differentiate_matches_reference_on_family_keys(name):
+    # the property test draws 1-6 variables; these keys are up to 26 fields
+    # wide, and the Cartan cubics carry sqrt3 parts
+    F = KERNEL_FAMILIES[name]().F
+    rF = ref(F)
+    for i in range(F.num_vars):
+        got, want = F.differentiate(i), rF.differentiate(i)
+        _assert_same(got, want)
+        assert list(got.items()) == list(want.items())
+
+
 @pytest.mark.parametrize("name", ["product(7,4)", "cartan-R", "nomizu(3)"])
 def test_gradient_square_matches_sympy(name):
     sympy = pytest.importorskip("sympy")
