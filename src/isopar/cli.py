@@ -22,19 +22,21 @@ identical for identical invocations (fixed default seed, sorted keys, no
 timestamps).  Exit codes: 0 all requested verifications passed, 1 a
 verification failed (for spectrum this includes a clustered spectrum whose
 number of distinct curvatures p differs from the family's p, as when a
-coarse --cluster-tol merges distinct curvatures), 2 usage error (including
-a negative --seed, a non-finite --travel, a --cluster-tol that is not a
-finite number > 0, a --seeds outside 1..MAX_SEEDS = 10000, --family
-product at k = 1 or k = n for n >= 2, which declares a zero multiplicity,
-spectrum, parallel or focal on a family in S^1, whose level sets are
-points, or at a --t with |t| > 0.95, inside the focal guard band, a
-Clifford size l = k delta(m) above 256 in clifford build or --family fkm,
-a family whose ambient dimension is above MAX_AMBIENT_DIM = 512 = 2 MAX_L,
-the largest fkm ambient, a verify cm whose |grad F|^2 would take more than
+coarse --cluster-tol merges distinct curvatures), 2 usage error: an
+argument the parser refuses, any errors.UsageError, or an --output path
+that cannot be written (including a negative --seed, a non-finite
+--travel, a --cluster-tol that is not a finite number > 0, a --seeds
+outside 1..MAX_SEEDS = 10000, --family product at k = 1 or k = n for
+n >= 2, which declares a zero multiplicity, spectrum, parallel or focal on
+a family in S^1, whose level sets are points, or at a --t with
+|t| > 0.95, inside the focal guard band, a Clifford size l = k delta(m)
+above 256 in clifford build or --family fkm, a family whose ambient
+dimension is above MAX_AMBIENT_DIM = 512 = 2 MAX_L, the largest fkm
+ambient, and a verify cm whose |grad F|^2 would take more than
 polyalg.MAX_RESIDUAL_PAIRS = 10 000 000 term pairs, predicted before any
-product is formed, as fkm(1,128) and fkm(9,4) would, and an --output path
-that cannot be written), 3 a numerical procedure failed at run time
-(sampling did not converge, ambiguous clustering, a focal travel angle, a
+product is formed, as fkm(1,128) and fkm(9,4) would), 3 any
+errors.RuntimeFailure: a numerical procedure failed at run time (sampling
+did not converge, ambiguous clustering, a focal travel angle, a
 construction that failed its own relations).
 
 The --family choices and the arguments each family needs come from one
@@ -77,15 +79,7 @@ from . import spectral
 from .clifford import build_generators, build_system
 from .cm_verifier import verify_cm
 from .division_algebras import AlgebraTag
-from .errors import (
-    ConstructionError,
-    DomainError,
-    FocalAngleError,
-    InstabilityError,
-    PreconditionError,
-    SamplingError,
-    StructureError,
-)
+from .errors import DomainError, RuntimeFailure, UsageError
 from .families import (
     IsoparametricFamily,
     cartan_cubic,
@@ -373,10 +367,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         text, code = args.func(args)
-    except (DomainError, PreconditionError, StructureError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except (ConstructionError, FocalAngleError, InstabilityError, SamplingError) as err:
+    except RuntimeFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return RUNTIME_FAILURE
     try:

@@ -1,34 +1,43 @@
 """Exception hierarchy shared across the package.
 
-All errors raised on bad input derive from ``ValueError`` so callers can
-catch broadly; errors raised when a numerical procedure fails at runtime
-derive from ``RuntimeError``.
+Every error derives from one of two bases, and its base alone decides the
+CLI exit code: ``UsageError`` (a ``ValueError``) for bad input, exit 2, and
+``RuntimeFailure`` (a ``RuntimeError``) for a numerical procedure or a
+construction that fails at run time, exit 3.
 """
 
 
-class StructureError(ValueError):
+class UsageError(ValueError):
+    """Bad input: the request cannot be answered as asked (CLI exit 2)."""
+
+
+class RuntimeFailure(RuntimeError):
+    """A procedure failed at run time on valid input (CLI exit 3)."""
+
+
+class StructureError(UsageError):
     """Mismatched shapes: variable counts, point lengths, index ranges."""
 
 
-class DomainError(ValueError):
+class DomainError(UsageError):
     """A parameter is outside the range the operation is defined on."""
 
 
-class PreconditionError(ValueError):
+class PreconditionError(UsageError):
     """A documented precondition (e.g. homogeneity) does not hold."""
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(RuntimeFailure):
     """An assembled object failed its own defining relations."""
 
 
-class SamplingError(RuntimeError):
+class SamplingError(RuntimeFailure):
     """Level-set sampling did not converge."""
 
 
-class InstabilityError(RuntimeError):
+class InstabilityError(RuntimeFailure):
     """Eigenvalue clustering is ambiguous at the requested tolerance."""
 
 
-class FocalAngleError(RuntimeError):
+class FocalAngleError(RuntimeFailure):
     """A parallel displacement hit a focal angle where the map collapses."""

@@ -19,7 +19,9 @@ A SurfacePoint carries its frame: the unit normal, a tangent basis and the
 shape operator are computed once, when sample_level returns the point or
 parallel_check forms the displaced point, and every check reads them.
 spectrum_report keeps no SurfacePoint: it measures the same frames for its
-seeds as stacks and keeps only their eigenvalues.
+seeds as stacks and keeps only their eigenvalues.  A stack that fails is
+sampled again, seed by seed, with sample_level, which raises the error of
+the first seed that fails.
 
 Sign convention: the unit normal is xi = +grad_S f / |grad_S f| and every
 report states it, so cot-angle bookkeeping is reproducible.  Orientation is
@@ -757,26 +759,29 @@ def spectrum_report(
     defining property of an isoparametric family; the report carries the
     worst elementwise deviation between the per-seed sorted spectra.
 
-    The seeds converge one at a time, in seed order; their frames are
+    The seeds converge one at a time, in seed order, and their frames are
     measured as stacks of max(1, EVAL_CHUNK_PRODUCTS // (n (n + 2)))
-    points, the entries of one (n, n + 2) QR input each.  Every error is
-    the one sample_level raises for the first seed that fails.
+    points, the entries of one (n, n + 2) QR input each.  When a seed of a
+    stack fails to converge or a frame fails its checks, the seeds of that
+    stack are sampled again one by one with sample_level, so the error
+    raised is the one sample_level raises for the first seed that fails.
     """
     seeds = tuple(base_seed + i for i in range(num_seeds))
     geo = _level_geometry(fam, t)
     n = geo.n_amb
     chunk = max(1, EVAL_CHUNK_PRODUCTS // (n * (n + 2)))
-    all_eigs, pending = [], []
-    for seed in seeds:
+    all_eigs = []
+    for start in range(0, num_seeds, chunk):
+        stack = seeds[start : start + chunk]
         try:
-            pending.append(_converge(geo, t, seed))
-        except SamplingError:
-            if pending:  # a frame before this seed may fail first
-                _curvatures(geo, pending)
+            x, g, _ = zip(*(_converge(geo, t, seed) for seed in stack))
+            shape = _frame(geo, np.array(x), np.array(g))[2]
+        except (PreconditionError, SamplingError):
+            # every earlier stack passed the same checks, bit for bit
+            for seed in stack:
+                principal_curvatures(sample_level(fam, t, seed))
             raise
-        if len(pending) == chunk or seed == seeds[-1]:
-            all_eigs.extend(_curvatures(geo, pending))
-            pending = []
+        all_eigs.extend(np.linalg.eigvalsh(shape))
 
     stacked = np.vstack(all_eigs)
     deviation = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
@@ -790,20 +795,3 @@ def spectrum_report(
         cross_seed_deviation=deviation,
         seed_agreement_ok=deviation <= SEED_AGREEMENT_TOL,
     )
-
-
-def _curvatures(geo: FamilyGeometry, points: list) -> np.ndarray:
-    """The principal curvatures at each converged (x, g, value) of points, one row per point.
-
-    The frames are one stack.  When a check fails in it, the frames are
-    measured again one by one, so the error raised is the first point's.
-    """
-    x = np.array([x for x, _, _ in points])
-    g = np.array([g for _, g, _ in points])
-    try:
-        shape = _frame(geo, x, g)[2]
-    except PreconditionError:
-        for x, g, _ in points:
-            _frame(geo, x, g)
-        raise
-    return np.linalg.eigvalsh(shape)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isopar import cli, families, nurowski, polyalg, spectral
+from isopar import catalog, cli, errors, families, nurowski, polyalg, spectral
+from isopar.clifford import build_generators
 from isopar.cli import main
 from isopar.division_algebras import AlgebraTag
 from isopar.families import cartan_cubic
@@ -105,6 +106,14 @@ def test_catalog_inhom_takes_no_separate_clifford_m(capsys):
     assert "--m" in captured.err
 
 
+@pytest.mark.parametrize("flags", [(), ("--m1", "3"), ("--m2", "4")], ids=["none", "m1", "m2"])
+def test_catalog_inhom_needs_both_multiplicities(capsys, flags):
+    code, out, err = run(capsys, "catalog", "inhom", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: inhom needs --m1 and --m2\n"
+
+
 def test_catalog_rank2_flags(capsys):
     code, out, _ = run(capsys, "catalog", "rank2")
     assert code == 0
@@ -170,6 +179,20 @@ def test_clifford_build_csv(capsys):
     assert len(matrix_rows) == 3 * 4  # three 4x4 matrices
     for row in matrix_rows:
         assert all(tok in ("-1", "0", "1") for tok in row.split(","))
+
+
+@pytest.mark.parametrize(
+    "m, k, header",
+    [(3, 2, "# m=3 k=2 l=8 what=generators"), (9, 1, "# m=9 k=1 l=16 what=generators")],
+)
+def test_clifford_build_generators_csv(capsys, m, k, header):
+    argv = ("clifford", "build", "--m", str(m), "--k", str(k), "--what", "generators")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = [header]
+    for i, E in enumerate(build_generators(m, k).mats, start=1):
+        lines += [f"# E{i}", *(",".join(map(str, row)) for row in E.rows())]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_parallel_command(capsys):
@@ -267,6 +290,57 @@ def test_out_of_range_numbers_are_parser_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--seed", "abc"),
+        ("parallel", "--family", "product", "--n", "7", "--k", "4", "--travel", "x"),
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--cluster-tol", "x"),
+        ("spectrum", "--family", "product", "--n", "7", "--k", "4", "--seeds", "x"),
+    ],
+    ids=["seed", "travel", "cluster-tol", "seeds"],
+)
+def test_non_numeric_text_is_a_parser_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected " in captured.err and repr(argv[-1]) in captured.err
+
+
+_BASES = (errors.UsageError, errors.RuntimeFailure)
+
+
+def test_every_error_class_derives_from_exactly_one_base():
+    classes = [
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, Exception) and cls not in _BASES
+    ]
+    assert classes
+    for cls in classes:
+        assert sum(issubclass(cls, base) for base in _BASES) == 1, cls.__name__
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.PreconditionError, 2),
+        (errors.FocalAngleError, 3),
+        (type("FutureUsageError", (errors.UsageError,), {}), 2),
+        (type("FutureRuntimeFailure", (errors.RuntimeFailure,), {}), 3),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_exit_code_comes_from_the_error_base(monkeypatch, capsys, error, code):
+    def failing():
+        raise error("orbit unavailable")
+
+    monkeypatch.setattr(catalog, "su3_orbit_spectrum", failing)
+    assert run(capsys, "catalog", "su3-orbit") == (code, "", "error: orbit unavailable\n")
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

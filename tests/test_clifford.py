@@ -174,6 +174,16 @@ def test_construction_error_on_bad_generators():
         build_system(bad) if bad.validate() is None else None
 
 
+def test_build_system_refuses_generators_that_break_its_relations():
+    # build_system checks the system it assembles, whatever it is handed:
+    # two identities square to +Id, not -Id, so P_2 and P_3 fail
+    from isopar.clifford import CliffordGenerators
+
+    bad = CliffordGenerators(m=3, l=2, mats=(SignedPerm.identity(2), SignedPerm.identity(2)))
+    with pytest.raises(ConstructionError, match="assembled system violates its relations"):
+        build_system(bad)
+
+
 def test_generators_compute_structure_constants_once(monkeypatch):
     calls = []
     original = division_algebras.structure_constants

@@ -1,5 +1,7 @@
 """Exact Cartan-Muenzner identity verification and multiplicity inference."""
 
+import json
+
 import pytest
 
 from isopar import polyalg
@@ -15,7 +17,7 @@ from isopar.families import (
     nomizu_family,
     product_family,
 )
-from isopar.polyalg import Poly
+from isopar.polyalg import Poly, ScalarQ3
 
 
 def test_cartan_r_exact():
@@ -102,6 +104,25 @@ def test_single_coefficient_mutation_flips_gradient_check():
         )
         report = verify_cm(corrupted)
         assert not report.grad_identity_ok
+
+
+def test_irrational_laplace_constant_infers_no_multiplicity_difference():
+    # lap (x0^2 + sqrt3 x1^2) = 2 + 2 sqrt3 is not rational, so no m2 - m1
+    # follows from c = p^2 (m2 - m1) / 2, and the report says null
+    fam = IsoparametricFamily(
+        name="x0^2 + sqrt3 x1^2",
+        p=2,
+        F=Poly(2, {(2, 0): 1, (0, 2): ScalarQ3(0, 1)}),
+        expected_multiplicities=None,
+        provenance="irrational Laplacian",
+    )
+    report = verify_cm(fam)
+    assert str(report.inferred_c) == "2+2*sqrt3"
+    assert report.inferred_m_diff is None
+    assert report.laplace_identity_ok and not report.grad_identity_ok
+    result = json.loads(json.dumps(report.to_dict()))
+    assert result["inferred_c"] == "2+2*sqrt3"
+    assert result["inferred_m_diff"] is None
 
 
 def test_non_homogeneous_rejected():

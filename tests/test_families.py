@@ -325,6 +325,20 @@ def test_multiplicity_sum_rule():
         assert fam.p * (m1 + m2) == 2 * (n - 1)
 
 
+def test_multiplicities_that_break_the_sum_rule_are_refused():
+    # fkm(1,3) lives in R^6, so dim M = 4 = p (m1 + m2) / 2 holds at (1, 1)
+    F = fkm_family(build_system(build_generators(1, 3))).F
+    declared = dict(name="fkm(1,3)", p=4, F=F, provenance="sum rule test")
+    assert IsoparametricFamily(expected_multiplicities=(1, 1), **declared).ambient_dim == 6
+    with pytest.raises(PreconditionError, match=r"multiplicities \(2,2\) violate"):
+        IsoparametricFamily(expected_multiplicities=(2, 2), **declared)
+
+
+def test_rename_to_nurowski_needs_five_variables():
+    with pytest.raises(PreconditionError, match="5-variable"):
+        rename_cartan_r_to_nurowski(Poly(3, {(3, 0, 0): 1}))
+
+
 @pytest.mark.parametrize("nv", [1, 2, 4, 5, 16, 32, 64, 512])
 def test_radial_quartic_is_r2_squared_in_key_order(nv):
     # the Clifford quartic starts from sum_of_squares(nv, 2); its terms, and

@@ -674,6 +674,48 @@ def test_spectrum_report_raises_the_first_failing_seeds_error(
         assert str(measured.value) == str(expected.value)
 
 
+def test_spectrum_report_samples_again_only_the_failing_stack(monkeypatch):
+    # a run where nothing fails never calls sample_level; when the frame of
+    # seed base + 17 fails, the second stack (seeds base + 15 .. base + 19)
+    # is sampled again, seed by seed, up to the failing seed, whose error
+    # is the per-seed route's
+    assert FKM_9_1_FRAMES == 15
+    fam = BUILDERS["fkm(9,1)"]()
+    n, t, base = fam.ambient_dim, 0.2, 100
+    expected = spectral.spectrum_report(fam, t, num_seeds=20, base_seed=base)
+
+    def refused(fam, t, seed):
+        raise AssertionError(f"sample_level called for seed {seed}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "sample_level", refused)
+        report = spectral.spectrum_report(fam, t, num_seeds=20, base_seed=base)
+    assert report.to_dict() == expected.to_dict()
+
+    skewed = spectral.sample_level(fam, t, seed=base + 17).x.tobytes()
+    hessian, sample_level, sampled = spectral.FamilyGeometry.hessian, spectral.sample_level, []
+
+    def skewed_hessian(self, x):
+        H = hessian(self, x)
+        for row, h in zip(np.atleast_2d(x), H.reshape(-1, n, n)):
+            h[0, 1] += 1.0 if row.tobytes() == skewed else 0.0
+        return H
+
+    def recorded(fam, t, seed):
+        sampled.append(seed)
+        return sample_level(fam, t, seed)
+
+    monkeypatch.setattr(spectral.FamilyGeometry, "hessian", skewed_hessian)
+    with pytest.raises(PreconditionError) as per_seed:
+        for seed in range(base, base + 20):
+            spectral.principal_curvatures(spectral.sample_level(fam, t, seed=seed))
+    monkeypatch.setattr(spectral, "sample_level", recorded)
+    with pytest.raises(PreconditionError) as measured:
+        spectral.spectrum_report(fam, t, num_seeds=20, base_seed=base)
+    assert sampled == [base + 15, base + 16, base + 17]
+    assert str(measured.value) == str(per_seed.value)
+
+
 # ---------------------------------------------------------------------------
 # derivative tables against the exact polynomials
 # ---------------------------------------------------------------------------
