@@ -3,8 +3,12 @@
 The polynomial side of the package is exact; this module is the measuring
 instrument.  Given a verified Cartan-Muenzner family it
 
-  * samples points of a level set by Gauss-Newton iteration on the pair
-    (F(x) - t, |x|^2 - 1), one gradient evaluation per step,
+  * samples points of a level set from a random start: one closed-form
+    jump along the normal great circle, on which f = F|S^n reads
+    cos(p (theta - s)) (Muenzner), then Gauss-Newton iteration on the pair
+    (F(x) - t, |x|^2 - 1) until both residuals are tiny, one gradient
+    evaluation per step; on a Cartan-Muenzner family the jump lands on the
+    level and a sample costs two gradients, the start and the landing,
   * assembles the shape operator A = -(tangential Hessian)/|grad_S f| from
     exact polynomial second derivatives evaluated at the point,
   * clusters the eigenvalues into principal curvatures with multiplicities
@@ -53,7 +57,7 @@ in on every call.  Two stages are stacked: the focal check sends its
 finite-difference points through one gradient batch per step size, and
 spectrum_report measures the frames of its converged seeds in stacks, one
 Hessian batch, one QR, one product B^T H B and one eigvalsh per stack.
-Gauss-Newton steps stay one point at a time, and so do the frames of
+Sampling steps stay one point at a time, and so do the frames of
 sample_level and parallel_check.  Dot products go through _dots, one BLAS
 dot per C-contiguous row, as a @ b and np.linalg.norm take on one point;
 summing them any other way, or over strided rows such as those of a
@@ -83,7 +87,7 @@ DEFAULT_SEED = 2718
 DEFAULT_CLUSTER_TOL = 1e-4
 MUNZNER_ALLOWED_P = (1, 2, 3, 4, 6)
 LEVEL_GUARD = 0.95  # sampling stays this far from the focal levels
-NEWTON_MAX_ITERATIONS = 80  # Gauss-Newton steps per seeded start
+NEWTON_MAX_ITERATIONS = 80  # steps per seeded start, the first (jump) step included
 NEWTON_RESIDUAL_TOL = 1e-13  # max |(F(x) - t, |x|^2 - 1)| that counts as converged
 SEED_AGREEMENT_TOL = 2e-6  # worst per-eigenvalue spread across seeds
 SPACING_TOL = 1e-6  # worst |theta_{k+1} - theta_k - pi/p|
@@ -151,7 +155,7 @@ def _evaluate(table: _Table, x: np.ndarray, size: int) -> np.ndarray:
     the same order, and bincount adds the weights of each output slot in
     table order whether or not other points' slots sit beside them.  A
     single point keeps its own path; as a (1, n) batch it would cost a few
-    microseconds more, which every Gauss-Newton step would pay.
+    microseconds more, which every sampling step would pay.
     """
     columns, coeffs, slots, _, bins = table
     if x.ndim == 1:
@@ -332,7 +336,7 @@ class Spectrum(Report):
 
 
 def sample_level(fam: IsoparametricFamily, t: float, seed: int = DEFAULT_SEED) -> SurfacePoint:
-    """Newton-project a seeded random start onto {F = t} intersect S^n.
+    """Project a seeded random start onto {F = t} intersect S^n (see _project).
 
     The level must satisfy |t| <= LEVEL_GUARD = 0.95: the band beyond it
     is refused, to stay away from the focal submanifolds where the
@@ -377,23 +381,43 @@ def _converge(geo: FamilyGeometry, t: float, seed: int) -> tuple:
 
 
 def _project(geo: FamilyGeometry, x: np.ndarray, t: float):
-    """Gauss-Newton from x onto the pair (F(x) - t, |x|^2 - 1) = 0.
+    """From the unit start x onto the pair (F(x) - t, |x|^2 - 1) = 0.
 
     Returns (x, grad F(x), F(x)) at the first x whose residuals are both
     below NEWTON_RESIDUAL_TOL, or None when the steps run out or the normal
     matrix is singular.  Each step evaluates one table: F(x) = <x, g> / p
-    by Euler's identity, and the Jacobian has the rows g and 2x, so
+    by Euler's identity.
+
+    The first step jumps along the normal great circle.  For an
+    isoparametric F in Cartan-Muenzner normalization, f = F|S^n reads
+    cos(p (theta - s)) along cos s x + sin s xi, xi = grad_S f / |grad_S f|,
+    where f(x) = cos(p theta) (Muenzner).  So s = (arccos f - arccos t) / p
+    lands on M_t in closed form, at the crossing of the circle nearest x.
+    The jump is only a start: the residual test alone decides convergence,
+    and where F does not obey the law (it is not isoparametric, or not
+    normalized) the Gauss-Newton steps that follow polish the landing.
+    Where grad_S f vanishes or |f| > 1, or either is NaN, there is no
+    circle to follow and the first step is a Gauss-Newton step too.
+
+    A Gauss-Newton step has the Jacobian rows g and 2x, so
     J J^T = [[g.g, 2 g.x], [2 g.x, 4 x.x]] is solved in closed form and the
     step J^T (J J^T)^-1 r is a g + 2 b x.
     """
     p = geo.degree
-    for _ in range(NEWTON_MAX_ITERATIONS):
+    for step in range(NEWTON_MAX_ITERATIONS):
         g = geo.gradient(x)
         gx, xx = float(g @ x), float(x @ x)
         value = gx / p
         rf, rs = value - t, xx - 1.0
         if abs(rf) < NEWTON_RESIDUAL_TOL and abs(rs) < NEWTON_RESIDUAL_TOL:
             return x, g, value
+        if step == 0:
+            gs = g - gx * x  # grad_S f
+            norm = math.sqrt(float(gs @ gs))
+            if norm > 0 and abs(value) <= 1.0:
+                s = (math.acos(value) - math.acos(t)) / p
+                x = math.cos(s) * x + math.sin(s) * (gs / norm)
+                continue
         gg = float(g @ g)
         det = gg * xx - gx * gx  # det(J J^T) / 4
         if not det > 0:  # zero, negative by rounding, or NaN

@@ -1,6 +1,7 @@
 """Numerical level-set geometry: sampling, spectra, parallel and focal laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from isopar.errors import (
     SamplingError,
 )
 from isopar.families import (
+    IsoparametricFamily,
     cartan_cubic,
     fkm_family,
     linear_family,
     nomizu_family,
     product_family,
 )
+from isopar.polyalg import Poly
 from isopar.spectral import (
     FocalReport,
     SurfacePoint,
@@ -152,6 +155,44 @@ def test_each_newton_step_evaluates_one_table(monkeypatch, name):
         assert steps[-1] == pt.x.tobytes()
         assert calls[-1] == ("hess", pt.x.tobytes())
         assert len(calls) == len(steps) + 1
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))  # all have ambient dimension >= 3
+def test_a_sample_costs_two_gradient_evaluations(monkeypatch, name):
+    # the jump along the normal great circle lands on the level: the start
+    # and the landing are the only gradients, and the frame adds one Hessian
+    fam = BUILDERS[name]()
+    calls = _counted_evaluations(monkeypatch, spectral.geometry(fam))
+    for t in (-0.95, -0.6, 0.0, 0.55, 0.95):
+        for seed in (1, 2, 3):
+            calls.clear()
+            pt = spectral.sample_level(fam, t, seed=seed)
+            start = np.random.default_rng(seed).normal(size=fam.ambient_dim)
+            start /= np.linalg.norm(start)
+            assert calls == [
+                ("grad", start.tobytes()),
+                ("grad", pt.x.tobytes()),
+                ("hess", pt.x.tobytes()),
+            ]
+
+
+@pytest.mark.parametrize("scaled", [True, False], ids=["3F", "F+x0^4/10"])
+def test_gauss_newton_lands_where_the_great_circle_law_fails(scaled):
+    # 3 F reaches |f| > 1, where the jump is skipped or lands off the
+    # level, and the quartic term bends the law, so the jump lands off it:
+    # the Gauss-Newton steps after the jump still bring x onto the level
+    F = FKM22.F
+    x0 = Poly.variable(F.num_vars, 0)
+    G = F.scale(3) if scaled else F + (x0 * x0 * x0 * x0).scale(Fraction(1, 10))
+    fam = IsoparametricFamily(
+        name="bent fkm(2,2)", p=4, F=G, expected_multiplicities=None, provenance="test"
+    )
+    exact = reference_poly.ref(G)
+    for t in (-0.4, 0.0, 0.2, 0.5):
+        for seed in (1, 2, 3):
+            pt = spectral.sample_level(fam, t, seed=seed)
+            assert abs(exact.evaluate_float(list(pt.x)) - t) <= 1e-12
+            assert abs(float(pt.x @ pt.x) - 1.0) <= 1e-12
 
 
 def test_parallel_check_evaluates_one_gradient_and_one_hessian(monkeypatch):
