@@ -89,7 +89,7 @@ from .families import (
     nomizu_family,
     product_family,
 )
-from .nurowski import DIM_TO_TAG, check_conditions, extract_upsilon
+from .nurowski import DIM_TO_TAG, check_conditions
 
 SCHEMA_VERSION = 1
 USAGE_ERROR = 2
@@ -207,7 +207,7 @@ def cmd_focal(args) -> tuple[str, int]:
 
 def cmd_nurowski_check(args) -> tuple[str, int]:
     fam = _built_family("cartan-cubic", (DIM_TO_TAG[args.dim].name,))
-    report = check_conditions(extract_upsilon(fam.F))
+    report = check_conditions(fam.F)
     result = report.to_dict()
     if args.dim == 5:
         result["determinant_cross_check"] = det_cubic_cross_check(fam.F).to_dict()

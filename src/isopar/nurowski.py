@@ -2,9 +2,10 @@
 
 A totally symmetric 3-tensor Y on R^n (metric g = identity) and the
 homogeneous cubic F = Y_ijk x_i x_j x_k are one object, so the tensor is
-held as its cubic.  By polarization Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k:
-for i <= j <= k it is the coefficient of x_i x_j x_k in F divided by the
-number of orderings of (i, j, k), 1, 3 or 6.  The three conditions are
+its cubic: this module takes and returns F and reads no entry.  By
+polarization Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k, the coefficient of
+x_i x_j x_k over the 1, 3 or 6 orderings of (i, j, k), as the tests'
+oracle ``reference_nurowski`` reads it.  The three conditions are
 
   (1) total symmetry                     (structural, by construction)
   (2) trace-free: sum_j Y_ijj = 0        for every i
@@ -46,61 +47,10 @@ from dataclasses import dataclass
 from .division_algebras import AlgebraTag
 from .errors import PreconditionError
 from .families import cartan_cubic
-from .polyalg import Poly, ScalarQ3
+from .polyalg import Poly
 from .report import Report, report_key
 
 MAX_FAILURES = 8  # condition (3) tuples a report lists
-
-
-def _orderings(i: int, j: int, k: int) -> int:
-    """Orderings of the free sum over (i, j, k) that hit one sorted triple: 1, 3 or 6."""
-    return {1: 1, 2: 3, 3: 6}[len({i, j, k})]
-
-
-@dataclass(frozen=True)
-class UpsilonTensor:
-    """Symmetric 3-tensor held as its cubic F = Y_ijk x_i x_j x_k (0-based).
-
-    By polarization the two are one object: Y_ijk is the coefficient of
-    x_i x_j x_k in F divided by the 1, 3 or 6 orderings of (i, j, k), and
-    the dimension n is F's variable count.  The cubic must pass
-    euler_check(3), which raises PreconditionError naming the monomials
-    of another degree; the zero cubic has none and is allowed.
-    """
-
-    cubic: Poly
-
-    def __post_init__(self):
-        self.cubic.euler_check(3)
-
-    @property
-    def n(self) -> int:
-        return self.cubic.num_vars
-
-    def value(self, i: int, j: int, k: int) -> ScalarQ3:
-        mono = [0] * self.n
-        for a in (i, j, k):
-            mono[a] += 1
-        return self.cubic.coefficient(mono) / _orderings(i, j, k)
-
-    @property
-    def entries(self) -> dict:
-        """(i, j, k) sorted -> Y_ijk, all C(n+2, 3) keys present."""
-        n = self.n
-        return {
-            (i, j, k): self.value(i, j, k)
-            for i in range(n) for j in range(i, n) for k in range(j, n)
-        }
-
-    def scale(self, factor) -> "UpsilonTensor":
-        return UpsilonTensor(self.cubic.scale(factor))
-
-
-def extract_upsilon(F: Poly) -> UpsilonTensor:
-    """The tensor Y_ijk = (1/6) d^3 F / dx_i dx_j dx_k of a homogeneous cubic."""
-    if F.is_zero():
-        raise PreconditionError("upsilon extraction needs a homogeneous cubic")
-    return UpsilonTensor(F)  # which rejects F unless it is a homogeneous cubic
 
 
 @dataclass(frozen=True)
@@ -131,14 +81,14 @@ class ConditionReport(Report):
         return out
 
 
-def check_conditions(tensor: UpsilonTensor) -> ConditionReport:
-    """Verify conditions (1)-(3) in exact arithmetic on F = Y_ijk x_i x_j x_k.
+def check_conditions(F: Poly) -> ConditionReport:
+    """Verify conditions (1)-(3) in exact arithmetic on the cubic F = Y_ijk x_i x_j x_k.
 
-    Condition (2) is read off lap F = 6 sum_i (sum_j Y_ijj) x_i and
-    condition (3) off the residual |grad F|^2 - 9 r^4 (see the module
-    docstring).
+    ``F.euler_check(3)`` refuses an F with a term of another degree with
+    PreconditionError (the zero cubic passes).  Condition (2) is read off lap F and condition (3)
+    off the residual |grad F|^2 - 9 r^4 (see the module docstring).
     """
-    F = tensor.cubic
+    F.euler_check(3)
     trace_failures = sorted(mono.index(1) for mono, _ in F.laplacian().items())
     residual = F.gradient_residual(9, 2)
     # each degree-4 monomial x_j x_k x_l x_m, j <= k <= l <= m, decides one
@@ -148,12 +98,12 @@ def check_conditions(tensor: UpsilonTensor) -> ConditionReport:
         tuple(i for i, e in enumerate(mono) for _ in range(e)) for mono, _ in residual.items()
     )
     return ConditionReport(
-        n=tensor.n,
-        symmetric_ok=True,  # symmetric storage cannot represent an asymmetry
+        n=F.num_vars,
+        symmetric_ok=True,  # the cubic cannot represent an asymmetry
         trace_free_ok=not trace_failures,
         trace_failures=tuple(trace_failures),
         quadratic_ok=residual.is_zero(),
-        quadratic_tuples_checked=math.comb(tensor.n + 3, 4),
+        quadratic_tuples_checked=math.comb(F.num_vars + 3, 4),
         quadratic_failures=tuple(failing[:MAX_FAILURES]),
     )
 
@@ -201,8 +151,8 @@ def dimension_catalog() -> tuple[DimensionEntry, ...]:
     return _CATALOG
 
 
-def upsilon_for_dimension(n: int) -> UpsilonTensor:
-    """The tensor of the Cartan cubic realizing dimension n in {5, 8, 14, 26}.
+def upsilon_for_dimension(n: int) -> Poly:
+    """The Cartan cubic realizing dimension n in {5, 8, 14, 26}, which is its tensor.
 
     Builds a fresh cartan_cubic family on every call, for library callers;
     the CLI reads the same cubic from its family memo instead.
@@ -212,4 +162,4 @@ def upsilon_for_dimension(n: int) -> UpsilonTensor:
         raise PreconditionError(
             f"no cubic solution in dimension {n}; supported: {sorted(DIM_TO_TAG)}"
         )
-    return extract_upsilon(cartan_cubic(tag).F)
+    return cartan_cubic(tag).F

@@ -1,13 +1,14 @@
-"""Reference Nurowski code: the per-triple tensor and the tuple sweep in ScalarQ3.
+"""Reference Nurowski code: the per-triple tensor Y_ijk and the tuple sweep in ScalarQ3.
 
-``extract_entries`` and ``contract`` are the coefficient-by-coefficient
-extraction and contraction that ``isopar.nurowski`` used before it held
-the tensor as its cubic; ``check_conditions`` is the one it used before
-it decided the conditions through lap F and |grad F|^2 - 9 r^4: the
-symmetry-reduced j <= k <= l <= m sweep over C(n+3, 4) tuples and its n^4
-variant.  They are kept unchanged as the oracles the tests compare
-against.  This module is not part of the package: nothing under ``src/``
-imports it.
+``isopar.nurowski`` holds the tensor as its cubic F and reads no entry;
+this module is where Y_ijk is read.  ``extract_entries`` and ``contract``
+are the coefficient-by-coefficient extraction and contraction that the
+package used before it held the tensor as its cubic; ``check_conditions``
+is the one it used before it decided the conditions through lap F and
+|grad F|^2 - 9 r^4: the symmetry-reduced j <= k <= l <= m sweep over
+C(n+3, 4) tuples and its n^4 variant, run on ``extract_entries(F)``.
+They are the oracles the tests compare against.  This module is not part
+of the package: nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from isopar.nurowski import ConditionReport, UpsilonTensor
+from isopar.nurowski import ConditionReport
 from isopar.polyalg import Poly, ScalarQ3
 
 
@@ -56,10 +57,10 @@ def contract(n: int, entries: dict) -> Poly:
     return Poly(n, terms)
 
 
-def _pair_vectors(tensor: UpsilonTensor) -> dict:
+def _pair_vectors(entries: dict) -> dict:
     """pair (a, b) with a <= b  ->  {i: Y_iab} over nonzero entries."""
     vecs: dict = {}
-    for (i, j, k), val in tensor.entries.items():
+    for (i, j, k), val in entries.items():
         if val.is_zero():
             continue
         for pair, rem in (((j, k), i), ((i, k), j), ((i, j), k)):
@@ -83,24 +84,25 @@ def _pairing_sum(vecs: dict, a: int, b: int, c: int, d: int) -> ScalarQ3:
 
 
 def check_conditions(
-    tensor: UpsilonTensor, max_failures: int = 8, exhaustive: bool = False
+    F: Poly, max_failures: int = 8, exhaustive: bool = False
 ) -> ConditionReport:
-    """Verify conditions (1)-(3) in exact arithmetic.
+    """Verify conditions (1)-(3) in exact arithmetic on the entries of the cubic F.
 
     ``exhaustive`` sweeps all n^4 tuples of condition (3) instead of the
     symmetry-reduced j <= k <= l <= m enumeration (used as a cross check in
     low dimension).
     """
-    n = tensor.n
+    n = F.num_vars
+    entries = extract_entries(F)
     trace_failures = []
     for i in range(n):
         total = ScalarQ3(0)
         for j in range(n):
-            total = total + tensor.value(i, j, j)
+            total = total + entries[tuple(sorted((i, j, j)))]
         if not total.is_zero():
             trace_failures.append(i)
 
-    vecs = _pair_vectors(tensor)
+    vecs = _pair_vectors(entries)
     quad_failures: list = []
     checked = 0
     if exhaustive:

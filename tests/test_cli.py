@@ -730,9 +730,9 @@ def test_nurowski_check_shares_the_registry_family(monkeypatch, capsys):
         builds.append(tag)
         return build(tag)
 
-    def counting_check(tensor):
-        checks.append(tensor.n)
-        return check(tensor)
+    def counting_check(F):
+        checks.append(F.num_vars)
+        return check(F)
 
     cli._built_family.cache_clear()
     # every binding a cubic build can go through, so a route around the memo

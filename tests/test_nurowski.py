@@ -1,101 +1,102 @@
-"""Upsilon tensor extraction and Nurowski's three conditions."""
+"""Nurowski's three conditions on a cubic, and its entries Y_ijk as the oracle reads them."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isopar import polyalg
+from isopar.cm_verifier import verify_cm
 from isopar.division_algebras import AlgebraTag
 from isopar.errors import PreconditionError
-from isopar.families import cartan_cubic, nurowski_expanded_cubic
-from isopar.nurowski import (
-    UpsilonTensor,
-    check_conditions,
-    dimension_catalog,
-    extract_upsilon,
-    upsilon_for_dimension,
-)
+from isopar.families import IsoparametricFamily, cartan_cubic, nurowski_expanded_cubic
+from isopar.nurowski import MAX_FAILURES, check_conditions, dimension_catalog, upsilon_for_dimension
 from isopar.polyalg import SQRT3, Poly, ScalarQ3
 from reference_nurowski import check_conditions as ref_check_conditions
 from reference_nurowski import contract, extract_entries
 
 
+def _entry(Y: dict, *ijk):
+    """Y_ijk for any order of the indices: the oracle keys sorted triples."""
+    return Y[tuple(sorted(ijk))]
+
+
 def test_upsilon_entries_of_expanded_cubic():
-    U = extract_upsilon(nurowski_expanded_cubic())
+    Y = extract_entries(nurowski_expanded_cubic())
     # coefficient 1 of x5^3 is Y_555 itself
-    assert U.value(4, 4, 4) == 1
+    assert _entry(Y, 4, 4, 4) == 1
     # coefficient 3/2 of x5 x1^2 spreads over 3 orderings
-    assert U.value(4, 0, 0) == Fraction(1, 2)
+    assert _entry(Y, 4, 0, 0) == Fraction(1, 2)
     # coefficient 3 sqrt3 of x1 x2 x3 spreads over 6 orderings
-    assert U.value(0, 1, 2) == ScalarQ3(0, Fraction(1, 2))
+    assert _entry(Y, 0, 1, 2) == ScalarQ3(0, Fraction(1, 2))
 
 
 def test_upsilon_multinomial_fixture():
-    U = extract_upsilon(Poly(3, {(1, 1, 1): 1}))
-    assert U.value(0, 1, 2) == Fraction(1, 6)
-    assert U.value(2, 1, 0) == Fraction(1, 6)  # symmetric access
+    Y = extract_entries(Poly(3, {(1, 1, 1): 1}))
+    assert _entry(Y, 0, 1, 2) == Fraction(1, 6)
+    assert _entry(Y, 2, 1, 0) == Fraction(1, 6)  # symmetric access
 
 
 def test_upsilon_derivative_oracle():
     # independent route: Y_ijk = (1/6) d^3 F, via repeated differentiation
     F = nurowski_expanded_cubic()
-    U = extract_upsilon(F)
+    Y = extract_entries(F)
     for (i, j, k) in [(0, 0, 4), (0, 1, 2), (4, 4, 4), (1, 1, 3), (2, 3, 4)]:
         third = F.differentiate(i).differentiate(j).differentiate(k)
         # a third derivative of a cubic is a constant polynomial
         val = third.coefficient((0,) * 5) * Fraction(1, 6)
-        assert U.value(i, j, k) == val
+        assert _entry(Y, i, j, k) == val
 
 
 def test_contraction_reproduces_cubic():
-    # the entries read off the stored cubic contract back to it
+    # the entries read off the cubic contract back to it
     for tag in (AlgebraTag.R, AlgebraTag.C):
         F = cartan_cubic(tag).F
-        U = extract_upsilon(F)
-        assert contract(U.n, U.entries) == F
+        assert contract(F.num_vars, extract_entries(F)) == F
 
 
 @pytest.mark.parametrize("tag", list(AlgebraTag), ids=lambda t: t.name)
 def test_entries_match_reference_extraction(tag):
-    # the cubic storage reads the same entries as the per-triple oracle,
-    # and those entries rebuild F
+    # the cubic of dimension n is the family's, entry for entry, and its
+    # entries rebuild F
     F = cartan_cubic(tag).F
     n = 3 * tag.dim + 2
     entries = extract_entries(F)
-    assert upsilon_for_dimension(n).entries == entries
+    assert extract_entries(upsilon_for_dimension(n)) == entries
     assert contract(n, entries) == F
 
 
 def test_tensor_accepts_zero():
-    assert UpsilonTensor(Poly.zero(3)).entries[(0, 1, 2)] == 0
+    assert extract_entries(Poly.zero(3))[(0, 1, 2)] == 0
 
 
-def test_extract_rejects_non_cubic():
-    for build in (extract_upsilon, UpsilonTensor):
-        with pytest.raises(PreconditionError, match=r"degree 3.*\(2, 0\)"):
-            build(Poly(2, {(2, 0): 1}))
-        with pytest.raises(PreconditionError):
-            build(Poly(2, {(3, 0): 1, (1, 0): 1}))
+def test_check_rejects_non_cubic():
+    with pytest.raises(PreconditionError, match=r"degree 3.*\(2, 0\)"):
+        check_conditions(Poly(2, {(2, 0): 1}))
     with pytest.raises(PreconditionError):
-        extract_upsilon(Poly.zero(3))
+        check_conditions(Poly(2, {(3, 0): 1, (1, 0): 1}))
+    # the zero cubic passes the gate: it is trace-free and fails (3), as the
+    # oracle reads its entries
+    zero = Poly.zero(3)
+    report = check_conditions(zero)
+    assert report.trace_free_ok and not report.quadratic_ok
+    assert report.to_dict() == ref_check_conditions(zero).to_dict()
 
 
 def test_check_reads_each_key_degree_at_most_twice(monkeypatch):
-    # homogeneity is decided once, by the tensor, and the residual reads
-    # F's degree once
+    # homogeneity is decided once, by check_conditions' degree gate, and the
+    # residual reads F's degree once
     F = cartan_cubic(AlgebraTag.O).F
     calls = []
     key_degree = polyalg._key_degree
     monkeypatch.setattr(polyalg, "_key_degree", lambda k, n: calls.append(k) or key_degree(k, n))
-    assert check_conditions(extract_upsilon(F)).ok
+    assert check_conditions(F).ok
     assert 0 < len(calls) <= 2 * F.num_terms()
 
 
 def test_entry_count():
-    U = upsilon_for_dimension(5)
-    assert len(U.entries) == 5 * 6 * 7 // 6
+    assert len(extract_entries(upsilon_for_dimension(5))) == 5 * 6 * 7 // 6
 
 
 def test_conditions_dim5():
@@ -130,10 +131,10 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def perturbed_tensors(draw):
-    """Upsilon (n = 5, 8) or the zero tensor (n = 3, 4) with a few entries moved."""
+    """The cubic of Upsilon (n = 5, 8) or of zero (n = 3, 4) with a few entries moved."""
     n = draw(st.sampled_from([3, 4, 5, 8]))
     if n in (5, 8):
-        entries = dict(upsilon_for_dimension(n).entries)
+        entries = extract_entries(upsilon_for_dimension(n))
     else:
         entries = {
             (i, j, k): ScalarQ3(0)
@@ -144,7 +145,7 @@ def perturbed_tensors(draw):
         key = draw(st.sampled_from(keys))
         delta = ScalarQ3(draw(small_fractions), draw(small_fractions))
         entries[key] = entries[key] + delta
-    return UpsilonTensor(contract(n, entries))
+    return contract(n, entries)
 
 
 @given(perturbed_tensors())
@@ -153,12 +154,45 @@ def test_perturbed_tensors_match_reference_sweep(U):
     assert check_conditions(U).to_dict() == ref_check_conditions(U).to_dict()
 
 
+def _assert_one_decision(fam: IsoparametricFamily):
+    # conditions (2) and (3) are the p = 3 Cartan-Muenzner identities, read
+    # off the same two residuals
+    report, cm = check_conditions(fam.F), verify_cm(fam)
+    assert report.quadratic_ok == cm.grad_identity_ok
+    assert report.trace_free_ok == cm.laplace_identity_ok
+    tuples = sorted(
+        tuple(i for i, e in enumerate(mono) for _ in range(e))
+        for mono, _ in cm.grad_residual.items()
+    )
+    assert list(report.quadratic_failures) == tuples[:MAX_FAILURES]
+    assert list(report.trace_failures) == sorted(
+        mono.index(1) for mono, _ in cm.laplace_residual.items()
+    )
+
+
+@pytest.mark.parametrize("tag", list(AlgebraTag), ids=lambda t: t.name)
+def test_conditions_agree_with_verify_cm_on_cartan_cubics(tag):
+    _assert_one_decision(cartan_cubic(tag))
+
+
+@given(perturbed_tensors())
+@settings(max_examples=40, deadline=None)
+def test_conditions_agree_with_verify_cm_on_perturbed_cubics(F):
+    assume(not F.is_zero())
+    _assert_one_decision(
+        IsoparametricFamily(
+            name="perturbed cubic", p=3, F=F, expected_multiplicities=None,
+            provenance="Upsilon or zero with a few entries moved",
+        )
+    )
+
+
 def test_spot_tuple_5555():
     # LHS at (j,k,l,m) = (5,5,5,5) is 3 sum_i Y_55i^2 = 3 since only Y_555 = 1
-    U = extract_upsilon(nurowski_expanded_cubic())
+    Y = extract_entries(nurowski_expanded_cubic())
     lhs = ScalarQ3(0)
     for i in range(5):
-        v = U.value(i, 4, 4)
+        v = _entry(Y, i, 4, 4)
         lhs = lhs + v * v
     assert lhs * 3 == 3
 
