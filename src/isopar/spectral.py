@@ -48,20 +48,20 @@ keeps no family alive.  The geometry therefore holds no reference back to
 its family: a value that held its weak key would keep the key, and itself,
 alive for good.
 
-The gradient and the Hessian also take a batch, the points as the
-C-contiguous rows of a (B, n) array, and return one result per point,
-bit-identical to the one-point call.  A batch is evaluated in chunks of
-at most EVAL_CHUNK_PRODUCTS products (points times table rows): a larger
-chunk no longer fits the allocator's reused memory and faults its arrays
-in on every call.  Two stages are stacked: the focal check sends its
-finite-difference points through one gradient batch per step size, and
-spectrum_report measures the frames of its converged seeds in stacks, one
-Hessian batch, one QR, one product B^T H B and one eigvalsh per stack.
-Sampling steps stay one point at a time, and so do the frames of
-sample_level and parallel_check.  Dot products go through _dots, one BLAS
-dot per C-contiguous row, as a @ b and np.linalg.norm take on one point;
-summing them any other way, or over strided rows such as those of a
-transposed basis, changes the last bits.
+Every table evaluation takes a stack, the points as the C-contiguous rows
+of a (B, n) array, and returns one result per point; one point is a stack
+of one row, so its result is bit-identical to its row in any batch.  A
+stack is evaluated in chunks of at most EVAL_CHUNK_PRODUCTS products
+(points times table rows): a larger chunk no longer fits the allocator's
+reused memory and faults its arrays in on every call.  Two stages stack
+more than one point: the focal check sends its finite-difference points
+through one gradient batch per step size, and spectrum_report measures the
+frames of its converged seeds in stacks, one Hessian batch, one QR, one
+product B^T H B and one eigvalsh per stack.  Sampling steps evaluate one
+point at a time, and so do the frames of sample_level and parallel_check.
+Dot products go through _dots, one BLAS dot per C-contiguous row, as
+a @ b and np.linalg.norm take on one point; summing them any other way, or
+over strided rows such as those of a transposed basis, changes the last bits.
 """
 
 from __future__ import annotations
@@ -148,22 +148,15 @@ def _table(entries: list, n: int) -> _Table:
 
 
 def _evaluate(table: _Table, x: np.ndarray, size: int) -> np.ndarray:
-    """The table at one point x, shape (n,), or at each row of x, shape (B, n), B <= chunk.
+    """The table at each C-contiguous row of x, shape (B, n), B <= chunk.
 
-    A batch returns one row per point, each bit-identical to the one-point
-    call: the products of a row are formed by the same multiplications in
-    the same order, and bincount adds the weights of each output slot in
-    table order whether or not other points' slots sit beside them.  A
-    single point keeps its own path; as a (1, n) batch it would cost a few
-    microseconds more, which every sampling step would pay.
+    One point is a stack of one row.  Each row's result is the same
+    whatever the other rows: the products of a row are formed by the same
+    multiplications in the same order, and bincount adds the weights of
+    each output slot in table order whether or not other points' slots sit
+    beside them.
     """
     columns, coeffs, slots, _, bins = table
-    if x.ndim == 1:
-        point = np.append(x, 1.0)
-        product = point[columns[0]]
-        for column in columns[1:]:
-            product *= point[column]
-        return np.bincount(slots, weights=coeffs * product, minlength=size)
     rows = len(x)
     point = np.concatenate([x, np.ones((rows, 1))], axis=1)
     # take along axis 1 of the (B, n + 1) array: indexing point[:, column],
@@ -224,9 +217,9 @@ class FamilyGeometry:
 
     gradient, sphere_gradient and hessian take one point, shape (n,), or a
     batch, the C-contiguous rows of a (B, n) array, and return one
-    bit-identical result per point along a leading axis.  A batch goes to
-    each table in chunks of max(1, EVAL_CHUNK_PRODUCTS // table rows)
-    points.
+    bit-identical result per point along a leading axis.  Either goes to
+    each table as a stack of rows, one point as a stack of one, in chunks
+    of max(1, EVAL_CHUNK_PRODUCTS // table rows) points.
     """
 
     def __init__(self, fam: IsoparametricFamily):
@@ -249,14 +242,12 @@ class FamilyGeometry:
         self._strict_upper = (i * n + j, j * n + i)  # slots of (i, j) and (j, i), i < j
 
     def _batched(self, table: _Table, x: np.ndarray, size: int) -> np.ndarray:
-        """table at one point, or at each row of x, table.chunk rows per evaluation."""
-        chunk = table.chunk
-        if x.ndim == 1 or len(x) <= chunk:
-            return _evaluate(table, x, size)
-        out = np.empty((len(x), size))
-        for i in range(0, len(x), chunk):
-            out[i : i + chunk] = _evaluate(table, x[i : i + chunk], size)
-        return out
+        """table at each row of x, (n,) or (B, n), table.chunk rows per evaluation."""
+        rows, chunk = x.reshape(-1, self.n_amb), table.chunk
+        out = np.empty((len(rows), size))
+        for i in range(0, len(rows), chunk):
+            out[i : i + chunk] = _evaluate(table, rows[i : i + chunk], size)
+        return out.reshape(x.shape[:-1] + (size,))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """grad F at one point, shape (n,), or at each row of x, shape (B, n), in chunks."""
@@ -670,7 +661,7 @@ def parallel_check(pt: SurfacePoint, travel: float) -> ParallelReport:
 class FocalReport(Report):
     angle: float
     is_focal_angle: bool
-    expected_nullity: int | None
+    expected_nullity: int
     nullity: int
     singular_values: tuple
 
@@ -681,8 +672,6 @@ class FocalReport(Report):
 
     @property
     def ok(self) -> bool:
-        if self.expected_nullity is None:
-            return self.nullity == 0
         return self.nullity == self.expected_nullity
 
 

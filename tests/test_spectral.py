@@ -444,7 +444,7 @@ def nonfocal_rank_check(pt: SurfacePoint, angle: float) -> FocalReport:
     return FocalReport(
         angle=angle,
         is_focal_angle=False,
-        expected_nullity=None,
+        expected_nullity=0,  # an immersion off the focal angles
         nullity=nullity,
         singular_values=tuple(float(v) for v in sv),
     )
@@ -562,36 +562,45 @@ def test_point_frame_matches_the_reference_route_bit_for_bit(build):
 FKM_9_1_FRAMES = spectral.EVAL_CHUNK_PRODUCTS // (32 * 34)
 
 
+FKM_9_1_REQUESTS = [
+    ("focal", "--t", "0.2", "--index", "0"),
+    ("parallel", "--t", "0.2", "--travel", "0.3"),
+    ("spectrum", "--t", "0.2", "--seeds", "20"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, points, frame_calls, fd_points",
+    "argv, samples, points, frame_calls, fd_points",
     [
-        (("focal", "--t", "0.2", "--index", "0"), 1, 1, 60),
-        (("parallel", "--t", "0.2", "--travel", "0.3"), 2, 2, 0),
-        (("spectrum", "--t", "0.2", "--seeds", "20"), 20, math.ceil(20 / FKM_9_1_FRAMES), 0),
+        (FKM_9_1_REQUESTS[0], 1, 1, 1, 60),
+        (FKM_9_1_REQUESTS[1], 1, 2, 2, 0),
+        (FKM_9_1_REQUESTS[2], 20, 20, math.ceil(20 / FKM_9_1_FRAMES), 0),
     ],
     ids=["focal", "parallel", "spectrum-20"],
 )
 def test_each_point_evaluates_its_frame_once(
-    monkeypatch, capsys, argv, points, frame_calls, fd_points
+    monkeypatch, capsys, argv, samples, points, frame_calls, fd_points
 ):
     # a sampled or displaced point gets one Hessian row and one QR matrix,
     # counted in rows, since a spectrum stacks its frames: 20 seeds make
     # ceil(20 / 15) Hessian and QR calls; no gradient is evaluated twice at
     # the same x within a request, counting each row of a batch as one x;
-    # the focal check's 2 (n - 2) = 60 finite-difference points go to the
-    # gradient table in chunks, not one by one
+    # a sample costs two gradient rows, a displaced point one, and the
+    # focal check's 2 (n - 2) = 60 finite-difference points go to the
+    # gradient table in one call, evaluated in chunks, not one by one
     assert 1 < FKM_9_1_FRAMES < 20
-    calls = {"gradient": [], "hessian": [], "hessian_calls": 0, "qr": [], "batches": []}
+    calls = {"gradient": [], "hessian": [], "hessian_calls": 0, "qr": [], "chunks": []}
     gradient, hessian = spectral.FamilyGeometry.gradient, spectral.FamilyGeometry.hessian
     qr, evaluate = np.linalg.qr, spectral._evaluate
 
     def counted_gradient(self, x):
         calls["gradient"].extend(row.tobytes() for row in np.atleast_2d(x))
+        calls["chunks"].append([])  # the gradient-table evaluations of this call
         return gradient(self, x)
 
     def counted_evaluate(table, x, size):
-        if x.ndim == 2 and size == 32:  # a batch of the gradient table
-            calls["batches"].append((len(x), len(table[1])))
+        if size == 32:  # the gradient table: one output slot per variable
+            calls["chunks"][-1].append((len(np.atleast_2d(x)), len(table[1])))
         return evaluate(table, x, size)
 
     def counted_hessian(self, x):
@@ -615,12 +624,33 @@ def test_each_point_evaluates_its_frame_once(
     assert sum(calls["qr"]) == points and len(calls["qr"]) == frame_calls
     repeats = len(calls["gradient"]) - len(set(calls["gradient"]))
     assert repeats == 0
-    assert sum(size for size, _ in calls["batches"]) == fd_points
+    rows = [[size for size, _ in chunks] for chunks in calls["chunks"]]
+    displaced = points - samples
+    assert sum(map(sum, rows)) == len(calls["gradient"]) == 2 * samples + displaced + fd_points
+    batches = [chunks for chunks in rows if sum(chunks) > 1]  # calls with more than one point
+    assert sum(map(sum, batches)) == fd_points
     if fd_points:
-        table_rows = calls["batches"][0][1]
+        table_rows = calls["chunks"][0][0][1]
         per_chunk = spectral.EVAL_CHUNK_PRODUCTS // table_rows
         assert 1 < per_chunk < fd_points
-        assert len(calls["batches"]) == math.ceil(fd_points / per_chunk)
+        assert len(batches) == 1 and len(batches[0]) == math.ceil(fd_points / per_chunk)
+
+
+@pytest.mark.parametrize("argv", FKM_9_1_REQUESTS, ids=["focal", "parallel", "spectrum-20"])
+def test_every_table_evaluation_takes_a_stack_of_rows(monkeypatch, capsys, argv):
+    # one evaluation path: a point goes to a table as a stack of one row,
+    # and a batch as chunks of at most table.chunk rows
+    shapes, evaluate = [], spectral._evaluate
+
+    def recorded(table, x, size):
+        shapes.append((x.ndim, x.flags.c_contiguous, x.dtype == np.float64, len(x) <= table.chunk))
+        return evaluate(table, x, size)
+
+    monkeypatch.setattr(spectral, "_evaluate", recorded)
+    code = cli.main([argv[0], "--family", "fkm", "--m", "9", "--k", "1", *argv[1:]])
+    capsys.readouterr()
+    assert code == 0
+    assert shapes and set(shapes) == {(2, True, True, True)}
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
@@ -874,11 +904,15 @@ def test_hessian_has_no_negative_zero_and_is_its_transpose_bit_for_bit(name):
 def test_derivatives_are_float64_for_one_point_and_a_batch(name):
     # linear F has no Hessian entries: its table is one zero row, which
     # sums float zeros as every other table does
+    # (n,) in gives one result, (B, n) in one result per row
     geo = spectral.geometry(BUILDERS[name]())
-    x = np.random.default_rng(13).normal(size=(2, geo.n_amb))
-    for arg in (x[0], x):
+    n = geo.n_amb
+    x = np.random.default_rng(13).normal(size=(2, n))
+    for arg, lead in ((x[0], ()), (x, (2,))):
         assert geo.gradient(arg).dtype == np.float64
         assert geo.hessian(arg).dtype == np.float64
+        assert geo.gradient(arg).shape == geo.sphere_gradient(arg).shape == lead + (n,)
+        assert geo.hessian(arg).shape == lead + (n, n)
 
 
 @pytest.mark.parametrize(
